@@ -168,10 +168,10 @@ def _study_exit_code(result) -> int:
 
 
 def _write_metrics(runs, args: argparse.Namespace) -> None:
-    """``--metrics-out``: per-run phase/counter snapshots as JSON."""
+    """``--metrics-out``: per-run phase/counter/histogram snapshots as JSON."""
     if not getattr(args, "metrics_out", None):
         return
-    from repro.telemetry import merge_snapshots
+    from repro.telemetry import merge_histogram_snapshots, merge_snapshots
 
     payload = {
         "runs": [
@@ -185,6 +185,7 @@ def _write_metrics(runs, args: argparse.Namespace) -> None:
                 "elapsed": round(r.stats.elapsed, 4),
                 "phases": r.stats.phases,
                 "counters": r.stats.counters,
+                "histograms": r.stats.histograms,
             }
             for r in runs
         ],
@@ -194,6 +195,13 @@ def _write_metrics(runs, args: argparse.Namespace) -> None:
                 for r in runs
             ]
         ),
+    }
+    names = dict.fromkeys(n for r in runs for n in r.stats.histograms)
+    payload["merged"]["histograms"] = {
+        name: merge_histogram_snapshots(
+            [r.stats.histograms[name] for r in runs if name in r.stats.histograms]
+        )
+        for name in names
     }
     Path(args.metrics_out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.metrics_out}", file=sys.stderr)

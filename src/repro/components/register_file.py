@@ -45,6 +45,7 @@ class MultiPortMemory:
         self.width = width
         self.read_ports = read_ports
         self.write_ports = write_ports
+        self._mask = mask(width)
         self._data = [0] * num_words
         self._reads_this_cycle = 0
         self._writes_this_cycle = 0
@@ -78,7 +79,7 @@ class MultiPortMemory:
                 f"write-port overflow: {self._writes_this_cycle} writes in "
                 f"one cycle, only {self.write_ports} ports"
             )
-        self._data[addr] = value & mask(self.width)
+        self._data[addr] = value & self._mask
 
     def peek(self, addr: int) -> int:
         """Debug read that bypasses port accounting."""
@@ -88,7 +89,7 @@ class MultiPortMemory:
     def poke(self, addr: int, value: int) -> None:
         """Debug write that bypasses port accounting."""
         self._check_addr(addr)
-        self._data[addr] = value & mask(self.width)
+        self._data[addr] = value & self._mask
 
     def dump(self) -> list[int]:
         return list(self._data)

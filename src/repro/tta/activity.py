@@ -42,13 +42,14 @@ def hamming(a: int, b: int) -> int:
     return popcount(a ^ b)
 
 
-def _bump(table: dict, key, amount: int) -> None:
-    table[key] = table.get(key, 0) + amount
-
-
 @dataclass
 class ActivityTrace:
-    """Per-run switching-activity ledger (filled by the simulator)."""
+    """Per-run switching-activity ledger.
+
+    The simulator fills the counters in place from its run loop.  Every
+    dict keeps first-touch key order: the energy fold sums per-port
+    floats in that order, so it is part of the result.
+    """
 
     width: int
     cycles: int = 0
@@ -73,37 +74,6 @@ class ActivityTrace:
     guard_toggles: int = 0
     fetch_words: int = 0
     fetch_toggles: int = 0
-
-    # ------------------------------------------------------------------
-    # recording (the simulator's hooks)
-    # ------------------------------------------------------------------
-    def record_bus(self, bus: int, old: int, new: int) -> None:
-        _bump(self.bus_toggles, bus, hamming(old, new))
-        _bump(self.bus_transports, bus, 1)
-
-    def record_socket(self, unit: str, port: str) -> None:
-        _bump(self.socket_transports, (unit, port), 1)
-
-    def record_port(self, unit: str, port: str, old: int, new: int) -> None:
-        _bump(self.port_toggles, (unit, port), hamming(old, new))
-
-    def record_activation(self, unit: str) -> None:
-        _bump(self.fu_activations, unit, 1)
-
-    def record_rf_read(self, unit: str, old: int, new: int) -> None:
-        _bump(self.rf_reads, unit, 1)
-        _bump(self.rf_read_toggles, unit, hamming(old, new))
-
-    def record_rf_write(self, unit: str, old: int, new: int) -> None:
-        _bump(self.rf_writes, unit, 1)
-        _bump(self.rf_write_toggles, unit, hamming(old, new))
-
-    def record_fetch(self, old_word: int, new_word: int) -> None:
-        self.fetch_words += 1
-        self.fetch_toggles += hamming(old_word, new_word)
-
-    def record_guard(self, old: int, new: int) -> None:
-        self.guard_toggles += hamming(old & 1, new & 1)
 
     # ------------------------------------------------------------------
     # views

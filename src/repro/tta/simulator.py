@@ -15,11 +15,17 @@ Implements the hybrid-pipelining semantics of Fig. 3:
 The functional units execute their *behavioural* reference models — the
 gate level exists for area/test back-annotation, and the differential
 tests in ``tests/`` pin the two views together.
+
+``run()`` first decodes every instruction into flat per-move tuples
+(resolved registers, FU states, bound reference functions and the
+activity keys each move touches), then executes them in one loop that
+serves plain and activity-traced runs alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.components.reference import (
     ALU_OPS,
@@ -34,8 +40,8 @@ from repro.components.reference import (
 from repro.components.register_file import MultiPortMemory
 from repro.components.spec import ComponentKind
 from repro.tta.activity import ActivityTrace
-from repro.tta.arch import Architecture
-from repro.tta.isa import GUARD_UNIT, Guard, Instruction, Literal, Move, PortRef, Program
+from repro.tta.arch import Architecture, ArchitectureError, UnitInstance
+from repro.tta.isa import GUARD_UNIT, Literal, Move, Program
 from repro.util.bitops import mask
 
 #: Jump delay slots (moves into the PC take effect after this many extra
@@ -49,6 +55,14 @@ _LSU_MODE = {
     "ld_lu": "low_unsigned",
     "ld_h": "high",
 }
+
+# Source kinds of a decoded move.
+_SRC_RF, _SRC_FU, _SRC_LIT, _SRC_GUARD, _SRC_FAULT = range(5)
+
+# Destination kinds.  Plain commits come first; every kind from
+# ``_DST_FU`` on is a trigger, committed after all plain moves.
+_DST_RF, _DST_OPERAND, _DST_GUARD, _DST_FAULT = range(4)
+_DST_FU, _DST_LSU, _DST_PC, _DST_TRIGGER_FAULT = range(4, 8)
 
 
 class SimulationError(Exception):
@@ -72,7 +86,7 @@ class SimResult:
         return self.moves_executed / self.cycles if self.cycles else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _FUState:
     operands: dict[str, int] = field(default_factory=dict)
     pipeline: list[tuple[int, int]] = field(default_factory=list)  # (ready, value)
@@ -88,12 +102,10 @@ class TTASimulator:
         arch: Architecture,
         program: Program,
         dmem_words: int = 65536,
-        trace: bool = False,
         activity: bool = False,
     ):
         self.arch = arch
         self.program = program
-        self.trace = trace
         self._width_mask = mask(arch.width)
         self.dmem = dict(program.data)
         self.dmem_words = dmem_words
@@ -103,9 +115,15 @@ class TTASimulator:
         self.guards = [0] * arch.num_guard_regs
         self._fu: dict[str, _FUState] = {}
         self._rf: dict[str, MultiPortMemory] = {}
+        # (state, result-port activity key) per FU/LSU, in unit order:
+        # the order results land in, and so first touch in port_toggles.
+        self._landing: list[tuple[_FUState, tuple[str, str] | None]] = []
         for unit in arch.units.values():
             if unit.spec.kind in (ComponentKind.FU, ComponentKind.LSU):
-                self._fu[unit.name] = _FUState()
+                state = self._fu[unit.name] = _FUState()
+                outputs = unit.spec.output_ports
+                key = (unit.name, outputs[0].name) if outputs else None
+                self._landing.append((state, key))
             elif unit.spec.kind is ComponentKind.RF:
                 self._rf[unit.name] = MultiPortMemory(
                     unit.spec.num_regs,
@@ -116,11 +134,10 @@ class TTASimulator:
         self.pc = 0
         self.cycle = 0
         self._pending_jump: tuple[int, int] | None = None
-        self._trace_lines: list[str] = []
 
         # Switching-activity tracing is opt-in: when off, ``self.activity``
-        # is None and the hot path pays only dead ``is not None`` checks —
-        # the run loop executes identically (pinned by tests) either way.
+        # is None and the run loop skips every ``if traced`` block — it
+        # executes identically (pinned by tests) either way.
         self.activity: ActivityTrace | None = None
         if activity:
             from repro.tta.encoding import MoveEncoder
@@ -131,12 +148,6 @@ class TTASimulator:
             self._act_bus = [0] * arch.num_buses
             self._act_port_last: dict[tuple[str, str], int] = {}
             self._act_rf_last_read: dict[str, int] = {}
-            self._act_result_port = {
-                name: next(
-                    (p.name for p in arch.unit(name).spec.output_ports), None
-                )
-                for name in self._fu
-            }
 
     # ------------------------------------------------------------------
     # inspection helpers (tests, examples)
@@ -159,48 +170,374 @@ class TTASimulator:
     def result_of(self, unit: str) -> int:
         return self._fu[unit].result
 
-    def trace_listing(self) -> str:
-        return "\n".join(self._trace_lines)
+    # ------------------------------------------------------------------
+    # decode
+    # ------------------------------------------------------------------
+    def _decode(self) -> list[tuple]:
+        """Decode every instruction into ``(moves, halt, word, rfs)``.
+
+        ``moves`` holds one tuple per occupied bus slot: ``(bus, guard
+        index, squash-on value, source kind, source, source arg, source
+        socket key, destination socket key, commit)``.  ``rfs`` lists the
+        register files the instruction can touch — the only ones whose
+        port counters must be reset in its cycle.
+
+        A move the checks reject (unknown unit or port, bad guard name,
+        missing register index or opcode, ...) decodes into an entry
+        that raises the same exception when — and only if — it executes.
+        """
+        units = self.arch.units
+        words = self._act_words if self.activity is not None else None
+        code = []
+        for pc, instruction in enumerate(self.program.instructions):
+            moves = []
+            rfs: list[MultiPortMemory] = []
+            for bus, move in enumerate(instruction.slots):
+                if move is None:
+                    continue
+                try:
+                    source = self._decode_source(move)
+                except (SimulationError, ArchitectureError) as exc:
+                    source = (_SRC_FAULT, exc, None)
+                try:
+                    commit = self._decode_dest(move)
+                except (SimulationError, ArchitectureError) as exc:
+                    commit = (_DST_FAULT, exc)
+                if source[0] == _SRC_RF and source[1] not in rfs:
+                    rfs.append(source[1])
+                if commit[0] == _DST_RF and commit[1] not in rfs:
+                    rfs.append(commit[1])
+                src, dst = move.src, move.dst
+                src_socket = (
+                    None if isinstance(src, Literal) or src.unit not in units
+                    else (src.unit, src.port)
+                )
+                dst_socket = (dst.unit, dst.port) if dst.unit in units else None
+                guard = move.guard
+                moves.append((
+                    bus,
+                    None if guard is None else guard.index,
+                    None if guard is None else not guard.invert,
+                    *source,
+                    src_socket,
+                    dst_socket,
+                    commit,
+                ))
+            code.append((
+                tuple(moves),
+                instruction.halt,
+                words[pc] if words is not None else 0,
+                tuple(rfs),
+            ))
+        return code
+
+    def _decode_source(self, move: Move) -> tuple:
+        """``(kind, target, arg)`` for the move's source; faults raise."""
+        src = move.src
+        if isinstance(src, Literal):
+            return _SRC_LIT, src.value & self._width_mask, None
+        if src.unit == GUARD_UNIT:
+            return _SRC_GUARD, _guard_index_or_raise(src.port), None
+        unit = self.arch.unit(src.unit)
+        if unit.spec.kind is ComponentKind.RF:
+            if move.src_reg is None:
+                raise SimulationError(f"RF read {src} without register index")
+            return _SRC_RF, self._rf[src.unit], move.src_reg
+        state = self._fu.get(src.unit)
+        if state is None:
+            raise SimulationError(f"{src} is not a readable unit")
+        return _SRC_FU, state, str(src)
+
+    def _decode_dest(self, move: Move) -> tuple:
+        """The commit tuple for the move's destination; faults raise."""
+        dst = move.dst
+        if dst.unit == GUARD_UNIT:
+            return _DST_GUARD, _guard_index_or_raise(dst.port)
+        if dst.unit in self.arch.units:
+            unit = self.arch.units[dst.unit]
+            try:
+                is_trigger = unit.spec.port(dst.port).is_trigger
+            except KeyError:
+                raise SimulationError(f"unknown port {dst}") from None
+            if is_trigger:
+                return self._decode_trigger(move, unit)
+        unit = self.arch.unit(dst.unit)
+        if unit.spec.kind is ComponentKind.RF:
+            if move.dst_reg is None:
+                raise SimulationError(f"RF write {dst} without register index")
+            return _DST_RF, self._rf[dst.unit], move.dst_reg, dst.unit
+        state = self._fu.get(dst.unit)
+        if state is None:
+            raise SimulationError(f"{dst} is not a writable unit")
+        return _DST_OPERAND, state.operands, dst.port, (dst.unit, dst.port)
+
+    def _decode_trigger(self, move: Move, unit: UnitInstance) -> tuple:
+        """``(kind, unit, key, state, port, a, b, c)`` for a trigger move.
+
+        FU: ``a, b, c`` = bound reference function, latency, operand
+        port.  LSU: mode (``"st"`` for a store), latency, and the fault
+        an invalid opcode raises once the address has been checked.
+        Trigger faults: the exception to raise.
+        """
+        dst = move.dst
+        spec = unit.spec
+        key = (dst.unit, dst.port)
+        state = self._fu.get(dst.unit)
+        if spec.kind is ComponentKind.PC:
+            if move.opcode != "jump":
+                fault = SimulationError(f"PC trigger with opcode {move.opcode!r}")
+                return _trigger_fault(key, None, dst.port, fault)
+            return _DST_PC, dst.unit, key, None, dst.port, None, None, None
+        if state is None:
+            return _trigger_fault(key, None, dst.port, KeyError(dst.unit))
+        if spec.kind is ComponentKind.LSU:
+            opcode = move.opcode or "ld"
+            mode = "st" if opcode == "st" else _LSU_MODE.get(opcode)
+            fault = None if mode else SimulationError(f"LSU opcode {opcode!r} invalid")
+            return _DST_LSU, dst.unit, key, state, dst.port, mode, spec.latency, fault
+        try:
+            function = _reference_function(move.opcode, unit)
+        except SimulationError as exc:
+            return _trigger_fault(key, state, dst.port, exc)
+        operand_port = next(
+            (p.name for p in spec.input_ports if not p.is_trigger), None
+        )
+        return (_DST_FU, dst.unit, key, state, dst.port,
+                function, spec.latency, operand_port or None)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, max_cycles: int = 1_000_000) -> SimResult:
-        """Run until halt, program end, or the cycle budget expires."""
+        """Run until halt, program end, or the cycle budget expires.
+
+        Re-entrant: the cycle, PC and pending jump are written back, so a
+        second call continues where the first stopped.
+        """
+        code = self._decode()
+        n_instructions = len(code)
+        wmask = self._width_mask
+        width = self.arch.width
+        guards = self.guards
+        dmem = self.dmem
+        dmem_words = self.dmem_words
+        landing = self._landing
+        inflight = sum(len(state.pipeline) for state, _key in landing)
+
+        act = self.activity
+        traced = act is not None
+        if traced:
+            bus_toggles = act.bus_toggles
+            bus_transports = act.bus_transports
+            port_toggles = act.port_toggles
+            socket_transports = act.socket_transports
+            fu_activations = act.fu_activations
+            rf_reads = act.rf_reads
+            rf_writes = act.rf_writes
+            rf_read_toggles = act.rf_read_toggles
+            rf_write_toggles = act.rf_write_toggles
+            guard_toggles = act.guard_toggles
+            fetch_words = act.fetch_words
+            fetch_toggles = act.fetch_toggles
+            bus_last = self._act_bus
+            port_last = self._act_port_last
+            rf_last_read = self._act_rf_last_read
+            last_word = self._act_last_word
+
+        cycle = self.cycle
+        pc = self.pc
+        jump = self._pending_jump
         executed = 0
         squashed = 0
         triggers = 0
         halted = False
         reason = "end-of-program"
+        try:
+            while cycle < max_cycles:
+                if not 0 <= pc < n_instructions:
+                    halted = True
+                    break
+                moves, halt, word, rfs = code[pc]
+                if traced:
+                    fetch_words += 1
+                    fetch_toggles += (last_word ^ word).bit_count()
+                    last_word = word
 
-        while self.cycle < max_cycles:
-            if not 0 <= self.pc < len(self.program.instructions):
-                reason = "end-of-program"
-                halted = True
-                break
-            instruction = self.program.instructions[self.pc]
-            if self.activity is not None:
-                word = self._act_words[self.pc]
-                self.activity.record_fetch(self._act_last_word, word)
-                self._act_last_word = word
-            stats = self._step(instruction)
-            executed += stats[0]
-            squashed += stats[1]
-            triggers += stats[2]
-            if instruction.halt:
-                reason = "halt"
-                halted = True
-                self.cycle += 1
-                break
-            self._advance_pc()
-            self.cycle += 1
-        else:
-            reason = "max-cycles"
+                # Begin-of-cycle: land finished results, open RF ports.
+                if inflight:
+                    for state, key in landing:
+                        pipeline = state.pipeline
+                        while pipeline and pipeline[0][0] <= cycle:
+                            value = pipeline.pop(0)[1]
+                            inflight -= 1
+                            if traced and key is not None:
+                                port_toggles[key] = port_toggles.get(key, 0) + (
+                                    state.result ^ value
+                                ).bit_count()
+                            state.result = value
+                            state.result_valid = True
+                        if not inflight:
+                            break
+                for rf in rfs:
+                    rf.new_cycle()
 
-        if self.activity is not None:
-            self.activity.cycles = self.cycle
+                # Sample phase (one bus slot per move; squashed moves
+                # drive no bus).
+                sampled = []
+                for (bus, guard, squash_on, kind, source, arg,
+                     src_socket, dst_socket, commit) in moves:
+                    if guard is not None and (not guards[guard]) is squash_on:
+                        squashed += 1
+                        continue
+                    if kind == _SRC_RF:
+                        value = source.read(arg)
+                    elif kind == _SRC_FU:
+                        if not source.result_valid:
+                            raise SimulationError(
+                                f"cycle {cycle}: read of {arg} before any "
+                                f"result (eq. 3)"
+                            )
+                        value = source.result
+                    elif kind == _SRC_LIT:
+                        value = source
+                    elif kind == _SRC_GUARD:
+                        value = guards[source]
+                    else:
+                        raise _renew(source)
+                    sampled.append((commit, value))
+                    if traced:
+                        bus_toggles[bus] = bus_toggles.get(bus, 0) + (
+                            bus_last[bus] ^ value
+                        ).bit_count()
+                        bus_transports[bus] = bus_transports.get(bus, 0) + 1
+                        bus_last[bus] = value
+                        if src_socket is not None:
+                            socket_transports[src_socket] = (
+                                socket_transports.get(src_socket, 0) + 1
+                            )
+                            if kind == _SRC_RF:
+                                name = src_socket[0]
+                                rf_reads[name] = rf_reads.get(name, 0) + 1
+                                rf_read_toggles[name] = rf_read_toggles.get(
+                                    name, 0
+                                ) + (rf_last_read.get(name, 0) ^ value).bit_count()
+                                rf_last_read[name] = value
+                        if dst_socket is not None:
+                            socket_transports[dst_socket] = (
+                                socket_transports.get(dst_socket, 0) + 1
+                            )
+
+                # Commit phase: operands first, then triggers see fresh
+                # operands.
+                fired = None
+                for commit, value in sampled:
+                    kind = commit[0]
+                    if kind == _DST_RF:
+                        _kind, rf, reg, name = commit
+                        if traced:
+                            old = rf.peek(reg)
+                            rf_writes[name] = rf_writes.get(name, 0) + 1
+                            rf_write_toggles[name] = rf_write_toggles.get(
+                                name, 0
+                            ) + (old ^ (value & wmask)).bit_count()
+                        rf.write(reg, value)
+                    elif kind == _DST_OPERAND:
+                        _kind, operands, port, key = commit
+                        value &= wmask
+                        if traced:
+                            port_toggles[key] = port_toggles.get(key, 0) + (
+                                port_last.get(key, 0) ^ value
+                            ).bit_count()
+                            port_last[key] = value
+                        operands[port] = value
+                    elif kind == _DST_GUARD:
+                        index = commit[1]
+                        if traced:
+                            guard_toggles += (guards[index] ^ value) & 1
+                        guards[index] = value & 1
+                    elif kind == _DST_FAULT:
+                        raise _renew(commit[1])
+                    elif fired is None:
+                        fired = [(commit, value)]
+                    else:
+                        fired.append((commit, value))
+
+                if fired is not None:
+                    triggers += len(fired)
+                    for commit, value in fired:
+                        kind, unit, key, state, port, a, b, c = commit
+                        operand = value & wmask
+                        if traced:
+                            port_toggles[key] = port_toggles.get(key, 0) + (
+                                port_last.get(key, 0) ^ operand
+                            ).bit_count()
+                            port_last[key] = operand
+                            fu_activations[unit] = fu_activations.get(unit, 0) + 1
+                        if kind == _DST_FU:
+                            operands = state.operands
+                            operands[port] = operand
+                            state.pipeline.append(
+                                (cycle + b, a(operands.get(c, 0), operand))
+                            )
+                            inflight += 1
+                        elif kind == _DST_LSU:
+                            state.operands[port] = operand
+                            if operand >= dmem_words:
+                                raise SimulationError(
+                                    f"data address {operand:#x} out of range"
+                                )
+                            if a == "st":
+                                dmem[operand] = (
+                                    state.operands.get("wdata", 0) & wmask
+                                )
+                            elif a is None:
+                                raise _renew(c)
+                            else:
+                                state.pipeline.append((
+                                    cycle + b,
+                                    lsu_extend_reference(
+                                        a, dmem.get(operand, 0), width
+                                    ),
+                                ))
+                                inflight += 1
+                        elif kind == _DST_PC:
+                            jump = (
+                                cycle + BRANCH_DELAY_SLOTS,
+                                value % (n_instructions + 1),
+                            )
+                        else:
+                            if state is not None:
+                                state.operands[port] = operand
+                            raise _renew(a)
+                executed += len(sampled)
+
+                if halt:
+                    reason = "halt"
+                    halted = True
+                    cycle += 1
+                    break
+                if jump is not None and cycle >= jump[0]:
+                    pc = jump[1]
+                    jump = None
+                else:
+                    pc += 1
+                cycle += 1
+            else:
+                reason = "max-cycles"
+        finally:
+            self.cycle = cycle
+            self.pc = pc
+            self._pending_jump = jump
+            if traced:
+                act.guard_toggles = guard_toggles
+                act.fetch_words = fetch_words
+                act.fetch_toggles = fetch_toggles
+                self._act_last_word = last_word
+
+        if traced:
+            act.cycles = cycle
         return SimResult(
-            cycles=self.cycle,
+            cycles=cycle,
             halted=halted,
             reason=reason,
             moves_executed=executed,
@@ -208,217 +545,35 @@ class TTASimulator:
             triggers=triggers,
         )
 
-    def _advance_pc(self) -> None:
-        if self._pending_jump is not None:
-            when, target = self._pending_jump
-            if self.cycle >= when:
-                self.pc = target
-                self._pending_jump = None
-                return
-        self.pc += 1
 
-    def _step(self, instruction: Instruction) -> tuple[int, int, int]:
-        """Execute one instruction; returns (executed, squashed, triggers)."""
-        cycle = self.cycle
-        act = self.activity
-        # Begin-of-cycle: land finished results, open RF ports.
-        for name, state in self._fu.items():
-            while state.pipeline and state.pipeline[0][0] <= cycle:
-                _ready, value = state.pipeline.pop(0)
-                if act is not None:
-                    port = self._act_result_port[name]
-                    if port is not None:
-                        act.record_port(name, port, state.result, value)
-                state.result = value
-                state.result_valid = True
-        for rf in self._rf.values():
-            rf.new_cycle()
+def _trigger_fault(key, state, port, exc: Exception) -> tuple:
+    """A trigger entry that raises ``exc`` when committed.
 
-        # Sample phase (one bus slot per move; squashed moves drive no bus).
-        sampled: list[tuple[Move, int]] = []
-        squashed = 0
-        for bus, move in enumerate(instruction.slots):
-            if move is None:
-                continue
-            if move.guard is not None and not self._guard_true(move.guard):
-                squashed += 1
-                continue
-            value = self._read_source(move)
-            sampled.append((move, value))
-            if act is not None:
-                self._record_transport(bus, move, value)
+    ``state`` is the FU whose operand register the trigger still writes
+    before raising, or None.
+    """
+    return _DST_TRIGGER_FAULT, key[0], key, state, port, exc, None, None
 
-        # Commit phase: operands first, then triggers see fresh operands.
-        triggers = 0
-        trigger_moves: list[tuple[Move, int]] = []
-        for move, value in sampled:
-            if self._is_trigger(move.dst):
-                trigger_moves.append((move, value))
-            else:
-                if act is not None:
-                    self._record_commit(move, value)
-                self._commit_plain(move, value)
-        for move, value in trigger_moves:
-            if act is not None:
-                self._record_commit(move, value)
-                act.record_activation(move.dst.unit)
-            self._commit_trigger(move, value)
-            triggers += 1
 
-        if self.trace:
-            done = ", ".join(str(m) for m, _v in sampled) or "nop"
-            self._trace_lines.append(f"{cycle:6d} pc={self.pc:4d}: {done}")
-        return len(sampled), squashed, triggers
+def _renew(exc: Exception) -> Exception:
+    """A fresh copy of a decoded fault, so each raise has its own traceback."""
+    return type(exc)(*exc.args)
 
-    # ------------------------------------------------------------------
-    # activity recording (only reached when tracing is enabled; purely
-    # observational — reads state, never writes simulation state)
-    # ------------------------------------------------------------------
-    def _record_transport(self, bus: int, move: Move, value: int) -> None:
-        act = self.activity
-        act.record_bus(bus, self._act_bus[bus], value)
-        self._act_bus[bus] = value
-        src = move.src
-        if isinstance(src, PortRef) and src.unit in self.arch.units:
-            act.record_socket(src.unit, src.port)
-            if self.arch.unit(src.unit).spec.kind is ComponentKind.RF:
-                old = self._act_rf_last_read.get(src.unit, 0)
-                act.record_rf_read(src.unit, old, value)
-                self._act_rf_last_read[src.unit] = value
-        dst = move.dst
-        if dst.unit in self.arch.units:
-            act.record_socket(dst.unit, dst.port)
 
-    def _record_commit(self, move: Move, value: int) -> None:
-        act = self.activity
-        dst = move.dst
-        if dst.unit == GUARD_UNIT:
-            old = self.guards[_guard_index_or_raise(dst.port)]
-            act.record_guard(old, value)
-            return
-        if dst.unit not in self.arch.units:
-            return
-        unit = self.arch.unit(dst.unit)
-        if unit.spec.kind is ComponentKind.RF:
-            if move.dst_reg is not None:
-                old = self._rf[dst.unit].peek(move.dst_reg)
-                act.record_rf_write(dst.unit, old, value & self._width_mask)
-            return
-        # FU/LSU operand or trigger register, or the PC target port.
-        key = (dst.unit, dst.port)
-        old = self._act_port_last.get(key, 0)
-        new = value & self._width_mask
-        act.record_port(dst.unit, dst.port, old, new)
-        self._act_port_last[key] = new
-
-    # ------------------------------------------------------------------
-    def _guard_true(self, guard: Guard) -> bool:
-        value = bool(self.guards[guard.index])
-        return value ^ guard.invert
-
-    def _is_trigger(self, dst: PortRef) -> bool:
-        if dst.unit == GUARD_UNIT or dst.unit not in self.arch.units:
-            return False
-        spec = self.arch.unit(dst.unit).spec
-        try:
-            return spec.port(dst.port).is_trigger
-        except KeyError:
-            raise SimulationError(f"unknown port {dst}") from None
-
-    def _read_source(self, move: Move) -> int:
-        src = move.src
-        if isinstance(src, Literal):
-            return src.value & self._width_mask
-        if src.unit == GUARD_UNIT:
-            return self.guards[_guard_index_or_raise(src.port)]
-        unit = self.arch.unit(src.unit)
-        if unit.spec.kind is ComponentKind.RF:
-            if move.src_reg is None:
-                raise SimulationError(f"RF read {src} without register index")
-            return self._rf[src.unit].read(move.src_reg)
-        state = self._fu.get(src.unit)
-        if state is None:
-            raise SimulationError(f"{src} is not a readable unit")
-        if not state.result_valid:
-            raise SimulationError(
-                f"cycle {self.cycle}: read of {src} before any result (eq. 3)"
-            )
-        return state.result
-
-    def _commit_plain(self, move: Move, value: int) -> None:
-        dst = move.dst
-        if dst.unit == GUARD_UNIT:
-            self.guards[_guard_index_or_raise(dst.port)] = value & 1
-            return
-        unit = self.arch.unit(dst.unit)
-        if unit.spec.kind is ComponentKind.RF:
-            if move.dst_reg is None:
-                raise SimulationError(f"RF write {dst} without register index")
-            self._rf[dst.unit].write(move.dst_reg, value)
-            return
-        # Operand register of an FU/LSU.
-        state = self._fu.get(dst.unit)
-        if state is None:
-            raise SimulationError(f"{dst} is not a writable unit")
-        state.operands[dst.port] = value & self._width_mask
-
-    def _commit_trigger(self, move: Move, value: int) -> None:
-        dst = move.dst
-        unit = self.arch.unit(dst.unit)
-        spec = unit.spec
-        if spec.kind is ComponentKind.PC:
-            if move.opcode != "jump":
-                raise SimulationError(f"PC trigger with opcode {move.opcode!r}")
-            self._pending_jump = (
-                self.cycle + BRANCH_DELAY_SLOTS,
-                value % (len(self.program.instructions) + 1),
-            )
-            return
-        state = self._fu[dst.unit]
-        state.operands[dst.port] = value & self._width_mask
-        if spec.kind is ComponentKind.LSU:
-            self._trigger_lsu(move, unit, state, value)
-            return
-        result = self._dispatch_fu(move.opcode, unit, state, value)
-        state.pipeline.append((self.cycle + spec.latency, result))
-
-    def _trigger_lsu(self, move: Move, unit, state: _FUState, addr: int) -> None:
-        opcode = move.opcode or "ld"
-        addr &= self._width_mask
-        if addr >= self.dmem_words:
-            raise SimulationError(f"data address {addr:#x} out of range")
-        if opcode == "st":
-            wdata = state.operands.get("wdata", 0)
-            self.dmem[addr] = wdata & self._width_mask
-            return
-        mode = _LSU_MODE.get(opcode)
-        if mode is None:
-            raise SimulationError(f"LSU opcode {opcode!r} invalid")
-        raw = self.dmem.get(addr, 0)
-        value = lsu_extend_reference(mode, raw, self.arch.width)
-        state.pipeline.append((self.cycle + unit.spec.latency, value))
-
-    def _dispatch_fu(self, opcode: str | None, unit, state: _FUState, trigger_value: int) -> int:
-        spec = unit.spec
-        if opcode is None:
-            raise SimulationError(f"trigger on {unit.name} without opcode")
-        if opcode not in spec.ops:
-            raise SimulationError(f"{unit.name} cannot execute {opcode!r}")
-        operand_port = next(
-            (p.name for p in spec.input_ports if not p.is_trigger), None
-        )
-        a = state.operands.get(operand_port, 0) if operand_port else 0
-        b = trigger_value & self._width_mask
-        width = spec.width
-        if opcode in ALU_OPS:
-            return alu_reference(opcode, a, b, width)
-        if opcode in CMP_OPS:
-            return cmp_reference(opcode, a, b, width)
-        if opcode in SHIFTER_OPS:
-            return alu_reference(opcode, a, b, width)
-        if opcode in MUL_OPS:
-            return mul_reference(a, b, width)
-        raise SimulationError(f"no behavioural model for opcode {opcode!r}")
+def _reference_function(opcode: str | None, unit: UnitInstance):
+    """The behavioural model ``f(a, b)`` an FU trigger with ``opcode`` runs."""
+    spec = unit.spec
+    if opcode is None:
+        raise SimulationError(f"trigger on {unit.name} without opcode")
+    if opcode not in spec.ops:
+        raise SimulationError(f"{unit.name} cannot execute {opcode!r}")
+    if opcode in ALU_OPS or opcode in SHIFTER_OPS:
+        return partial(alu_reference, opcode, width=spec.width)
+    if opcode in CMP_OPS:
+        return partial(cmp_reference, opcode, width=spec.width)
+    if opcode in MUL_OPS:
+        return partial(mul_reference, width=spec.width)
+    raise SimulationError(f"no behavioural model for opcode {opcode!r}")
 
 
 def _guard_index_or_raise(port: str) -> int:

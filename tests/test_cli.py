@@ -326,6 +326,44 @@ def test_study_trace_and_metrics_out(capsys, tmp_path):
     assert summary["jobs"] == []
 
 
+def test_metrics_out_carries_every_histogram(capsys, tmp_path, monkeypatch):
+    """Each run's ``RunStats.histograms`` reaches ``--metrics-out``."""
+    import repro.__main__ as cli
+    from repro.telemetry import merge_histogram_snapshots
+
+    seen = []
+    write = cli._write_metrics
+
+    def spy(runs, args):
+        seen.extend(runs)
+        write(runs, args)
+
+    monkeypatch.setattr(cli, "_write_metrics", spy)
+    metrics = tmp_path / "metrics.json"
+    code, _, _ = _run(
+        capsys, "study", "--workloads", "gcd,crc16", "--space", "small",
+        "--no-cache", "-q", "--metrics-out", str(metrics),
+    )
+    assert code == 0
+    report = json.loads(metrics.read_text())
+    assert len(seen) == len(report["runs"]) == 2
+    for run, written in zip(seen, report["runs"]):
+        assert run.stats.histograms, "no histograms collected"
+        assert written["histograms"] == json.loads(
+            json.dumps(run.stats.histograms)
+        )
+    names = {name for run in seen for name in run.stats.histograms}
+    assert set(report["merged"]["histograms"]) == names
+    for name in names:
+        merged = merge_histogram_snapshots(
+            [r.stats.histograms[name] for r in seen]
+        )
+        assert report["merged"]["histograms"][name] == json.loads(
+            json.dumps(merged)
+        )
+        assert merged["count"] == sum(r.stats.evaluated for r in seen)
+
+
 def test_trace_rejects_corrupt_file(capsys, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"v": 1, "kind": "event", "ts": 0.0, "name": "x"}\n')
