@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """One study, fully observed: trace, phase timers, cache accounting.
 
-Telemetry is strictly opt-in — passing a ``Tracer`` and
-``collect_metrics=True`` changes no results (the tests pin front and
-cache equality on vs off), it only records what happened:
+Every run collects its metrics; reporting them is opt-in — passing a
+``Tracer`` and ``collect_metrics=True`` changes no results (the tests
+pin front and cache equality on vs off), it only records what
+happened:
 
 * a JSONL trace with study/run/search spans plus one ``point`` event
   per evaluated configuration (the evaluation stream),

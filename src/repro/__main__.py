@@ -42,8 +42,8 @@ with failed points recorded.
 cProfile top-25 (cumulative) of the run to stderr.  ``study``,
 ``campaign`` and ``energy`` accept ``--trace FILE.jsonl`` (record the
 structured telemetry stream) and ``--metrics-out FILE.json`` (write
-the phase timers and counters); both are strictly opt-in and change no
-results.
+the phase timers, counters and histograms).  Every run collects them;
+the flags only report them, and change no results.
 
 All tabular output goes through :mod:`repro.reporting`, so files written
 here feed straight back into ``report`` (and any spreadsheet).
@@ -439,6 +439,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     from repro.study.engine import workload_profile
     from repro.apps.registry import build_workload
     from repro.explore.evaluate import EvaluationContext
+    from repro.telemetry import MetricsCollector
 
     if args.config:
         config = ArchConfig.from_dict(
@@ -455,11 +456,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     tech = technology_by_name(args.tech)
     workload = build_workload(args.workload)
     profile = workload_profile(args.workload, args.width)
-    metrics = None
-    if _collect_metrics(args):
-        from repro.telemetry import MetricsCollector
-
-        metrics = MetricsCollector()
+    metrics = MetricsCollector()
     tracer = _make_tracer(args)
     label = f"{args.workload}/{config.label()}/w{args.width}"
     try:
@@ -486,19 +483,14 @@ def cmd_energy(args: argparse.Namespace) -> int:
         else:
             with tracer.span("run", run=label, config=config.label()):
                 breakdown = _maybe_profiled(args, run_report)
-        if metrics is not None:
-            snapshot = metrics.snapshot()
-            if tracer is not None:
-                tracer.event(
-                    "metrics", run=label,
-                    phases=snapshot["phases"],
-                    counters=snapshot["counters"],
-                )
-            if getattr(args, "metrics_out", None):
-                Path(args.metrics_out).write_text(
-                    json.dumps(snapshot, indent=2) + "\n"
-                )
-                print(f"wrote {args.metrics_out}", file=sys.stderr)
+        snapshot = metrics.snapshot()
+        if tracer is not None:
+            tracer.event("metrics", run=label, **snapshot)
+        if getattr(args, "metrics_out", None):
+            Path(args.metrics_out).write_text(
+                json.dumps(snapshot, indent=2) + "\n"
+            )
+            print(f"wrote {args.metrics_out}", file=sys.stderr)
     finally:
         if tracer is not None:
             tracer.close()

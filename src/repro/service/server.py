@@ -139,10 +139,10 @@ class StudyServer:
     :class:`~repro.telemetry.live.LiveRegistry` of queue/worker/cache
     gauges, job lifecycle counters and queue-wait/evaluation-latency
     histograms, served by the ``metrics`` op and (when the CLI starts
-    one) the Prometheus ``/metrics`` exporter.  ``collect_metrics``
-    runs each job's study metered so per-point latency histograms fold
-    in on completion; metering is result-equivalent by design, so this
-    defaults on.
+    one) the Prometheus ``/metrics`` exporter.  Every study collects
+    its metrics; served jobs always report them, so each run's counters
+    and per-point ``eval_seconds`` histograms fold into the registry on
+    completion.
     """
 
     def __init__(
@@ -157,7 +157,6 @@ class StudyServer:
         stats_every: float = 30.0,
         tracer=None,
         wait_timeout: float | None = None,
-        collect_metrics: bool = True,
     ) -> None:
         if total_workers < 1:
             raise ValueError("total_workers must be >= 1")
@@ -173,7 +172,6 @@ class StudyServer:
         self.stats_every = stats_every
         self.tracer = tracer
         self.wait_timeout = wait_timeout
-        self.collect_metrics = collect_metrics
         #: The live, scrapeable operational metrics (thread-safe; the
         #: ``metrics`` op and the Prometheus exporter both read it).
         self.registry = LiveRegistry()
@@ -463,11 +461,11 @@ class StudyServer:
                 cache, self.index, job.job_id, token=token,
                 wait_timeout=self.wait_timeout,
             )
-        # Jobs run metered (opt-out via ``collect_metrics=False``):
-        # the per-run counters and in-worker ``eval_seconds``
-        # histograms fold into the live registry on completion.  When
-        # the server traces, each job traces through a bound view that
-        # stamps its job/tenant ids onto every study-layer record.
+        # Jobs report their metrics: the per-run counters and
+        # in-worker ``eval_seconds`` histograms fold into the live
+        # registry on completion.  When the server traces, each job
+        # traces through a bound view that stamps its job/tenant ids
+        # onto every study-layer record.
         tracer = (
             self.tracer.bind(job=job.job_id, tenant=job.tenant)
             if self.tracer is not None else None
@@ -479,7 +477,7 @@ class StudyServer:
             manager=manager,
             cancel=token,
             tracer=tracer,
-            collect_metrics=self.collect_metrics,
+            collect_metrics=True,
         )
         return study, token
 

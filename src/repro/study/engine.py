@@ -32,7 +32,6 @@ from repro.explore.evaluate import (
     EvaluatedPoint,
     EvaluationContext,
     evaluate_config_worker,
-    evaluate_config_worker_metered,
     init_evaluation_worker,
 )
 from repro.explore.explorer import ExplorationResult
@@ -115,8 +114,9 @@ class RunStats:
     evaluations.  ``phases``, ``counters`` and ``histograms`` are the
     run's merged telemetry snapshot (``{phase: {"calls", "seconds"}}``
     / ``{counter: int}`` / ``{name: <histogram snapshot>}``, e.g. the
-    per-point ``eval_seconds`` latency distribution), empty unless the
-    study ran with metrics collection on.
+    per-point ``eval_seconds`` latency distribution).  Every run
+    collects them; they are reported — non-empty — only when the study
+    ran with ``collect_metrics`` on.
     """
 
     total: int                 # points in the space
@@ -133,6 +133,18 @@ class RunStats:
 # ----------------------------------------------------------------------
 # evaluation fan-out (shared by the serial loop and the process pool)
 # ----------------------------------------------------------------------
+def _merge_outcome(
+    outcome: tuple[EvaluatedPoint, dict] | FailedPoint,
+    metrics: MetricsCollector,
+) -> EvaluatedPoint | FailedPoint:
+    """Unpack one pool outcome, folding its worker's snapshot in."""
+    if isinstance(outcome, FailedPoint):
+        return outcome
+    point, snapshot = outcome
+    metrics.merge(snapshot)
+    return point
+
+
 def iter_evaluations(
     configs: list[ArchConfig],
     workload: IRFunction,
@@ -166,12 +178,14 @@ def iter_evaluations(
     path — batch-per-wave strategies would otherwise rebuild the
     shared-work caches on every batch.
 
-    With ``metrics``, the serial path evaluates through a context that
-    carries the collector, and the pooled path switches to the metered
-    worker — each configuration's phase/counter delta travels back with
-    its point and is merged here, in submission order, so the merged
-    counters do not depend on pool scheduling.
+    Evaluation is always metered into ``metrics`` (a throwaway
+    collector when omitted): the serial path evaluates through a
+    context that carries the collector, and on the pooled path each
+    configuration's phase/counter delta travels back with its point and
+    is merged here, in submission order, so the merged counters do not
+    depend on pool scheduling.
     """
+    metrics = metrics or MetricsCollector()
     if workers <= 1 or len(configs) <= 1:
         if context is None:
             context = EvaluationContext(
@@ -184,13 +198,9 @@ def iter_evaluations(
                 context.evaluate, config, policy, on_retry=on_retry
             )
         return
-    worker_fn = (
-        evaluate_config_worker if metrics is None
-        else evaluate_config_worker_metered
-    )
     for outcome in iter_pool_isolated(
         configs,
-        worker_fn,
+        evaluate_config_worker,
         init_evaluation_worker,
         (workload, profile, width),
         min(workers, len(configs)),
@@ -198,13 +208,7 @@ def iter_evaluations(
         token=token,
         on_retry=on_retry,
     ):
-        if isinstance(outcome, tuple):      # metered: (point, snapshot)
-            point, snapshot = outcome
-            if metrics is not None:
-                metrics.merge(snapshot)
-            yield point
-        else:
-            yield outcome
+        yield _merge_outcome(outcome, metrics)
 
 
 def evaluate_configs(
@@ -232,13 +236,14 @@ class CachedEvaluator:
     over a process pool when ``workers > 1``.  Counts hits and fresh
     evaluations for the run statistics.
 
-    With telemetry attached (both default off): ``metrics`` collects
-    phase timers (through the context and the pool's metered workers)
-    plus the ``proposed``/``cache_hits``/``evaluated`` counters —
-    ``proposed == cache_hits + evaluated`` always, every requested
-    configuration is exactly one of the two — and ``tracer`` records
-    one ``wave`` event per batch and one ``point`` event per
-    configuration (the evaluation stream).
+    Metrics are always collected: ``metrics`` (a private collector
+    when omitted) receives the phase timers (through the context and
+    the pool workers' snapshots) plus the ``proposed``/``cache_hits``/
+    ``evaluated`` counters — ``proposed == cache_hits + evaluated``
+    always, every requested configuration is exactly one of the two.
+    Whether they are reported is the caller's choice.  ``tracer``
+    (default off) records one ``wave`` event per batch and one
+    ``point`` event per configuration (the evaluation stream).
     """
 
     def __init__(
@@ -270,7 +275,7 @@ class CachedEvaluator:
         self.workers = workers
         self.progress = progress
         self.label = label or workload_name
-        self.metrics = metrics
+        self.metrics = metrics or MetricsCollector()
         self.tracer = tracer
         #: Fault handling: the policy governs unexpected evaluation
         #: exceptions (skip/retry record a FailedPoint instead of
@@ -352,8 +357,7 @@ class CachedEvaluator:
 
     def _on_retry(self, config, attempt: int, exc: BaseException) -> None:
         """Between-attempt hook: count and trace the retry."""
-        if self.metrics is not None:
-            self.metrics.count("points_retried")
+        self.metrics.count("points_retried")
         if self.tracer is not None:
             self.tracer.event(
                 "retry",
@@ -375,8 +379,7 @@ class CachedEvaluator:
         """
         if isinstance(outcome, FailedPoint):
             self.failures.append(outcome)
-            if self.metrics is not None:
-                self.metrics.count("points_failed")
+            self.metrics.count("points_failed")
             if self.tracer is not None:
                 self.tracer.event(
                     "failure",
@@ -410,19 +413,16 @@ class CachedEvaluator:
         """Cost one configuration, cache-first."""
         if self.token is not None:
             self.token.raise_if_cancelled()
-        if self.metrics is not None:
-            self.metrics.count("proposed")
+        self.metrics.count("proposed")
         cached = self._lookup(config)
         if cached is not None:
             self.cache_hits += 1
-            if self.metrics is not None:
-                self.metrics.count("cache_hits")
+            self.metrics.count("cache_hits")
             if self.tracer is not None:
                 self._trace_point(cached, "cache")
             self._remember(cached)
             return cached
-        if self.metrics is not None:
-            self.metrics.count("evaluated")
+        self.metrics.count("evaluated")
         outcome = call_guarded(
             self.context.evaluate, config, self.policy,
             on_retry=self._on_retry,
@@ -446,10 +446,9 @@ class CachedEvaluator:
             else:
                 missing.append(i)
         self.cache_hits += len(configs) - len(missing)
-        if self.metrics is not None:
-            self.metrics.count("proposed", len(configs))
-            self.metrics.count("cache_hits", len(configs) - len(missing))
-            self.metrics.count("evaluated", len(missing))
+        self.metrics.count("proposed", len(configs))
+        self.metrics.count("cache_hits", len(configs) - len(missing))
+        self.metrics.count("evaluated", len(missing))
         # A pool can't win on a batch that gives each worker at most
         # one configuration (the iterative strategy's 2-3-config
         # waves): spinning it up re-initialises every worker's
@@ -487,7 +486,7 @@ class CachedEvaluator:
                 self.width,
                 workers,
                 context=self.context if serial else None,
-                metrics=None if serial else self.metrics,
+                metrics=self.metrics,
                 policy=self.policy,
                 token=self.token,
                 on_retry=self._on_retry,
@@ -502,11 +501,9 @@ class CachedEvaluator:
                 # yet yielded, then surface the interruption — the
                 # study turns it into a partial result.
                 for sub_index, outcome in sorted(exc.completed.items()):
-                    if isinstance(outcome, tuple):   # metered worker
-                        outcome, snapshot = outcome
-                        if self.metrics is not None:
-                            self.metrics.merge(snapshot)
-                    points[missing[sub_index]] = self._accept(outcome, wave)
+                    points[missing[sub_index]] = self._accept(
+                        _merge_outcome(outcome, self.metrics), wave
+                    )
                 raise StudyInterrupted() from None
         return points
 
@@ -720,13 +717,14 @@ class Study:
     overrides the spec's parallelism hint; ``progress`` receives
     human-readable per-run status lines.
 
-    Telemetry is strictly opt-in: ``tracer`` (a :class:`~repro.
-    telemetry.tracer.Tracer`) records the study/run/search spans and
-    the wave/point/strategy/cache event stream, and
-    ``collect_metrics=True`` fills each run's :class:`RunStats` with
-    phase timers and counters.  A tracer implies metrics collection
-    (the per-run ``metrics`` event needs the numbers).  Both off — the
-    default — leaves every hot path on its unmetered branch.
+    Metrics are always collected and reported only when asked: every
+    run times its phases and counts its work through one metered path,
+    and ``collect_metrics=True`` is the single switch that copies the
+    snapshot into each run's :class:`RunStats`.  ``tracer`` (a
+    :class:`~repro.telemetry.tracer.Tracer`) records the study/run/
+    search spans, the wave/point/strategy/cache event stream and the
+    per-run ``metrics`` event, and therefore implies
+    ``collect_metrics``.  Results are identical either way.
     """
 
     def __init__(
@@ -881,7 +879,6 @@ class Study:
         tech = technology_by_name(spec.tech)
         energy_model = tech.fingerprint() if needs_energy else None
         label = f"{workload_name}/{spec.space_label}/w{spec.width}"
-        metrics = MetricsCollector() if self.collect_metrics else None
         cache_stats = getattr(self.cache, "stats", None)
         cache_before = (
             cache_stats.as_dict() if cache_stats is not None else None
@@ -898,13 +895,13 @@ class Study:
             workers=self.workers,
             progress=self.progress,
             label=label,
-            metrics=metrics,
             tracer=self.tracer,
             policy=self.policy,
             token=self.cancel,
             manager=self.manager,
             overlay=dict(self.manager.points(label)),
         )
+        metrics = evaluator.metrics
         # Everything _partial_run needs to assemble an interrupted
         # run's result — the strategy's outcome is lost when the
         # interruption propagates, but the checkpointed points are not.
@@ -914,7 +911,6 @@ class Study:
             "started": started,
             "total": len(configs),
             "evaluator": evaluator,
-            "metrics": metrics,
         }
         job = SearchJob(
             workload=workload,
@@ -938,7 +934,7 @@ class Study:
         result = ExplorationResult(
             workload=workload.name, profile=profile, points=outcome.points
         )
-        if metrics is not None and outcome.moves_proposed:
+        if outcome.moves_proposed:
             metrics.count("moves_proposed", outcome.moves_proposed)
             metrics.count("moves_accepted", outcome.moves_accepted)
             metrics.count("moves_rejected", outcome.moves_rejected)
@@ -962,7 +958,7 @@ class Study:
             post_pass_hits += self._attach_energy(
                 result, objectives, evaluator, tech, metrics
             )
-        if metrics is not None and post_pass_hits:
+        if post_pass_hits:
             metrics.count("post_pass_hits", post_pass_hits)
 
         calibrations: list = []
@@ -984,43 +980,17 @@ class Study:
 
         if cache_stats is not None and cache_before is not None:
             cache_delta = cache_stats.delta(cache_before)
-            if metrics is not None:
-                # "result_cache_" so the delta's "hits" cannot collide
-                # with the evaluator's own "cache_hits" counter.
-                for key, value in cache_delta.items():
-                    if value:
-                        metrics.count(f"result_cache_{key}", value)
+            # "result_cache_" so the delta's "hits" cannot collide with
+            # the evaluator's own "cache_hits" counter.
+            for key, value in cache_delta.items():
+                if value:
+                    metrics.count(f"result_cache_{key}", value)
             if self.tracer is not None:
                 self.tracer.event("cache", run=label, **cache_delta)
 
-        snapshot = (
-            metrics.snapshot() if metrics is not None
-            else {"phases": {}, "counters": {}, "histograms": {}}
+        stats = self._run_stats(
+            evaluator, len(configs), started, post_pass_hits
         )
-        stats = RunStats(
-            total=len(configs),
-            cache_hits=evaluator.cache_hits,
-            evaluated=evaluator.evaluated,
-            workers=self.workers,
-            elapsed=perf_counter() - started,
-            post_pass_hits=post_pass_hits,
-            phases=snapshot["phases"],
-            counters=snapshot["counters"],
-            histograms=snapshot.get("histograms", {}),
-        )
-        if self.tracer is not None:
-            self.tracer.event(
-                "metrics",
-                run=label,
-                phases=snapshot["phases"],
-                counters=snapshot["counters"],
-                histograms=snapshot.get("histograms", {}),
-                total=stats.total,
-                cache_hits=stats.cache_hits,
-                evaluated=stats.evaluated,
-                post_pass_hits=stats.post_pass_hits,
-                workers=stats.workers,
-            )
         self.manager.mark_done(label)
         self._current = None
         return StudyRun(
@@ -1052,7 +1022,6 @@ class Study:
             return None
         spec = self.spec
         evaluator: CachedEvaluator = cur["evaluator"]
-        metrics = cur["metrics"]
         _, decode = _entry_codec()
         points: list[EvaluatedPoint] = []
         for entry in self.manager.points(cur["label"]).values():
@@ -1066,36 +1035,11 @@ class Study:
             workload=cur["workload"], profile=evaluator.profile,
             points=points,
         )
-        snapshot = (
-            metrics.snapshot() if metrics is not None
-            else {"phases": {}, "counters": {}, "histograms": {}}
-        )
-        stats = RunStats(
-            total=cur["total"],
-            cache_hits=evaluator.cache_hits,
-            evaluated=evaluator.evaluated,
-            workers=self.workers,
-            elapsed=perf_counter() - cur["started"],
-            phases=snapshot["phases"],
-            counters=snapshot["counters"],
-            histograms=snapshot.get("histograms", {}),
-        )
+        # The in-progress wave's telemetry would otherwise be lost: the
+        # stats carry the final snapshot, and the trace gets it plus the
+        # interruption marker so an interrupted trace still summarises.
+        stats = self._run_stats(evaluator, cur["total"], cur["started"])
         if self.tracer is not None:
-            # The in-progress wave's telemetry would otherwise be lost:
-            # emit the final snapshot and the interruption marker so an
-            # interrupted trace still summarises.
-            self.tracer.event(
-                "metrics",
-                run=cur["label"],
-                phases=snapshot["phases"],
-                counters=snapshot["counters"],
-                histograms=snapshot.get("histograms", {}),
-                total=stats.total,
-                cache_hits=stats.cache_hits,
-                evaluated=stats.evaluated,
-                post_pass_hits=0,
-                workers=stats.workers,
-            )
             self.tracer.event(
                 "interrupted",
                 run=cur["label"],
@@ -1115,13 +1059,52 @@ class Study:
             interrupted=True,
         )
 
+    def _run_stats(
+        self,
+        evaluator: CachedEvaluator,
+        total: int,
+        started: float,
+        post_pass_hits: int = 0,
+    ) -> RunStats:
+        """One run's :class:`RunStats` and its ``metrics`` trace event.
+
+        The single place ``collect_metrics`` applies: the evaluator's
+        collector always holds the run's snapshot, and it is reported
+        only when the study asked for it (a tracer implies asking).
+        """
+        snapshot = (
+            evaluator.metrics.snapshot() if self.collect_metrics
+            else {"phases": {}, "counters": {}, "histograms": {}}
+        )
+        stats = RunStats(
+            total=total,
+            cache_hits=evaluator.cache_hits,
+            evaluated=evaluator.evaluated,
+            workers=self.workers,
+            elapsed=perf_counter() - started,
+            post_pass_hits=post_pass_hits,
+            **snapshot,
+        )
+        if self.tracer is not None:
+            self.tracer.event(
+                "metrics",
+                run=evaluator.label,
+                **snapshot,
+                total=stats.total,
+                cache_hits=stats.cache_hits,
+                evaluated=stats.evaluated,
+                post_pass_hits=stats.post_pass_hits,
+                workers=stats.workers,
+            )
+        return stats
+
     def _attach_test_costs(
         self,
         workload_name: str,
         result: ExplorationResult,
         objectives: tuple[Objective, ...],
         evaluator: CachedEvaluator,
-        metrics: MetricsCollector | None = None,
+        metrics: MetricsCollector,
     ) -> int:
         """The test-cost post-pass, on the base-objective front only.
 
@@ -1152,7 +1135,7 @@ class Study:
         objectives: tuple[Objective, ...],
         evaluator: CachedEvaluator,
         tech,
-        metrics: MetricsCollector | None = None,
+        metrics: MetricsCollector,
     ) -> int:
         """The switching-activity post-pass, on the base front only.
 

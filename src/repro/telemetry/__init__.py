@@ -1,4 +1,4 @@
-"""``repro.telemetry`` — opt-in tracing and metrics for the study stack.
+"""``repro.telemetry`` — tracing and metrics for the study stack.
 
 Five small, zero-dependency pieces:
 
@@ -22,9 +22,13 @@ Five small, zero-dependency pieces:
   analysis of a recorded run (the ``python -m repro trace summarize``
   subcommand).
 
-Telemetry is strictly opt-in and result-equivalent: every instrumented
-call site defaults to ``tracer=None`` / ``metrics=None`` and produces
-identical fronts and cache contents either way.
+Metrics collection is always on and reporting is opt-in: every layer
+times into a :class:`MetricsCollector` through one code path (a call
+site handed ``metrics=None`` uses a throwaway collector), and only
+``Study(collect_metrics=True)`` — or a tracer — puts the snapshot into
+the run's stats and trace.  Tracing itself stays opt-in
+(``tracer=None``), and fronts and cache contents are identical either
+way.
 """
 
 from repro.telemetry.histogram import (

@@ -24,9 +24,9 @@ name, ``_total`` counters, cumulative ``_bucket{le=...}`` histograms),
 and :class:`MetricsExporter` serves it from a stdlib
 ``ThreadingHTTPServer`` on a daemon thread (``GET /metrics``).
 
-Like everything in :mod:`repro.telemetry`, the registry is opt-in and
-result-equivalent: no study code constructs one on its own, and an
-instrumented call site handed ``metrics=None`` does no bookkeeping.
+The registry is opt-in and result-equivalent: no study code
+constructs one on its own; the study server folds finished runs'
+reported metrics into it.
 """
 
 from __future__ import annotations

@@ -25,8 +25,10 @@ pool workers report: each worker measures into its own collector and
 ships the per-configuration delta home, where the parent merges it on
 wave completion.
 
-Everything is opt-in: instrumented call sites take
-``metrics=None`` (the default) and skip all bookkeeping in that case.
+Collection is always on, reporting is opt-in: instrumented call sites
+take ``metrics=None`` (the default) to mean a throwaway collector, so
+every run executes the same timed code path, and the study decides
+(``collect_metrics``) whether the snapshot is reported.
 """
 
 from __future__ import annotations

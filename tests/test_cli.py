@@ -326,10 +326,21 @@ def test_study_trace_and_metrics_out(capsys, tmp_path):
     assert summary["jobs"] == []
 
 
-def test_metrics_out_carries_every_histogram(capsys, tmp_path, monkeypatch):
-    """Each run's ``RunStats.histograms`` reaches ``--metrics-out``."""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("study", "--workloads", "gcd,crc16", "--space", "small",
+         "--no-cache", "-q"),
+        ("energy", "gcd", "--space", "small", "--index", "3"),
+    ],
+    ids=["study", "energy"],
+)
+def test_metrics_out_carries_every_histogram(
+    capsys, tmp_path, monkeypatch, argv
+):
+    """Each run's histograms reach ``--metrics-out`` and the trace."""
     import repro.__main__ as cli
-    from repro.telemetry import merge_histogram_snapshots
+    from repro.telemetry import load_trace, merge_histogram_snapshots
 
     seen = []
     write = cli._write_metrics
@@ -340,12 +351,24 @@ def test_metrics_out_carries_every_histogram(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_metrics", spy)
     metrics = tmp_path / "metrics.json"
+    trace = tmp_path / "trace.jsonl"
     code, _, _ = _run(
-        capsys, "study", "--workloads", "gcd,crc16", "--space", "small",
-        "--no-cache", "-q", "--metrics-out", str(metrics),
+        capsys, *argv, "--trace", str(trace), "--metrics-out", str(metrics),
     )
     assert code == 0
     report = json.loads(metrics.read_text())
+    # ``energy`` writes its one snapshot flat; ``study`` one entry per run
+    entries = report.get("runs", [report])
+    events = [
+        r["data"] for r in load_trace(trace)
+        if r["kind"] == "event" and r["name"] == "metrics"
+    ]
+    assert len(events) == len(entries)
+    for event, run in zip(events, entries):
+        assert run["histograms"]["eval_seconds"]["count"] >= 1
+        assert event["histograms"] == run["histograms"]
+    if argv[0] != "study":
+        return
     assert len(seen) == len(report["runs"]) == 2
     for run, written in zip(seen, report["runs"]):
         assert run.stats.histograms, "no histograms collected"

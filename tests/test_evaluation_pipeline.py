@@ -175,6 +175,8 @@ def test_worker_entry_points_share_context_semantics():
     init_evaluation_worker(workload, profile, 16)
     context = EvaluationContext(workload, profile, 16)
     for config in small_space()[:4]:
-        a = evaluate_config_worker(config)
+        a, snapshot = evaluate_config_worker(config)
         b = context.evaluate(config)
         assert (a.label, a.area, a.cycles) == (b.label, b.area, b.cycles)
+        # each call ships its own per-configuration delta
+        assert snapshot["counters"]["evaluations"] == 1

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignSpec, ResultCache, run_campaign
+from repro.resilience import CancelToken
 from repro.study import StudySpec, run_study
 from repro.telemetry import (
     DEFAULT_BOUNDS,
@@ -229,12 +230,72 @@ class TestResultEquivalence:
             counters["moves_accepted"] + counters["moves_rejected"]
         )
 
-    def test_stats_empty_without_telemetry(self):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize(
+        "objectives",
+        [("area", "cycles"), ("area", "cycles", "energy")],
+        ids=["2d", "energy"],
+    )
+    @pytest.mark.parametrize(
+        "interrupted", [False, True], ids=["completed", "interrupted"]
+    )
+    def test_stats_empty_without_telemetry(
+        self, tmp_path, completed_metrics_keys, workers, objectives,
+        interrupted,
+    ):
+        """Metrics are always collected but reported only when asked.
+
+        Without ``collect_metrics`` the stats sections stay empty —
+        serial or pooled, with or without a post-pass, complete or cut
+        short.  With it, the run's ``metrics`` trace event carries the
+        same keys as a completed run's, interrupted or not.
+        """
+        def run(**telemetry):
+            return run_study(
+                StudySpec(
+                    name="plain", workloads=("gcd",), space="small",
+                    objectives=objectives,
+                ),
+                workers=workers,
+                cancel=CancelToken(after_points=4) if interrupted else None,
+                **telemetry,
+            )
+
+        plain = run()
+        assert plain.interrupted == interrupted
+        stats = plain.single.stats
+        assert (stats.phases, stats.counters, stats.histograms) == ({}, {}, {})
+
+        trace = tmp_path / "t.jsonl"
+        with Tracer(trace) as tracer:
+            traced = run(collect_metrics=True, tracer=tracer)
+        assert traced.interrupted == interrupted
+        assert traced.single.stats.counters["evaluations"] > 0
+        assert set(_metrics_event(trace)) == completed_metrics_keys
+
+
+def _metrics_event(trace: Path) -> dict:
+    """The data of the single ``metrics`` event of a one-run trace."""
+    (event,) = [
+        r for r in load_trace(trace)
+        if r["kind"] == "event" and r["name"] == "metrics"
+    ]
+    return event["data"]
+
+
+@pytest.fixture(scope="module")
+def completed_metrics_keys(tmp_path_factory) -> set[str]:
+    """Keys of a completed gcd/small run's ``metrics`` trace event."""
+    trace = tmp_path_factory.mktemp("completed") / "t.jsonl"
+    with Tracer(trace) as tracer:
         result = run_study(
-            StudySpec(name="plain", workloads=("gcd",), space="small")
+            StudySpec(name="ref", workloads=("gcd",), space="small"),
+            tracer=tracer,
         )
-        assert result.single.stats.phases == {}
-        assert result.single.stats.counters == {}
+    assert not result.interrupted
+    keys = set(_metrics_event(trace))
+    assert {"phases", "counters", "histograms"} <= keys
+    return keys
 
 
 # ----------------------------------------------------------------------
