@@ -13,6 +13,14 @@ Pipeline (see :func:`~repro.atpg.engine.run_atpg`):
    backtrack abort limit — aborted faults are what keeps coverage just
    under 100%, exactly like Table 1's 99.5-99.8%),
 4. greedy reverse-order compaction of the pattern set.
+
+Both hot loops run over a netlist compiled once into flat per-gate op
+tuples in topological order, not over cell types.  PODEM implies on
+*dual-rail* values: each net has a ``one`` and a ``zero`` rail whose bit
+0 is the good and bit 1 the faulty machine, so one pass simulates both,
+and the fault is injected by rewriting the op list once per target.  The
+fault simulator evaluates single-rail bit-parallel ops, event-driven
+from the fault site through the gates whose inputs diverged.
 """
 
 from repro.atpg.faults import Fault, collapse_faults, enumerate_faults

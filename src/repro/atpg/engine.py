@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import random
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -252,20 +253,52 @@ def _compact(
     return kept
 
 
+#: ``ATPGResult`` field -> the type every cached value must have.
+_CACHE_FIELDS: dict[str, type] = {
+    "netlist_name": str,
+    "patterns": list,
+    "num_faults": int,
+    "detected": int,
+    "redundant": int,
+    "aborted": int,
+    "undetected_faults": list,
+}
+
+
+def _count(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _well_typed(data: object) -> bool:
+    """Is a decoded cache entry shaped exactly like ``ATPGResult.to_json()``?"""
+    if not isinstance(data, dict) or data.keys() != _CACHE_FIELDS.keys():
+        return False
+    if not all(type(data[k]) is t for k, t in _CACHE_FIELDS.items()):
+        return False
+    counts = [data[k] for k, t in _CACHE_FIELDS.items() if t is int]
+    return all(map(_count, counts + data["patterns"])) and all(
+        type(name) is str for name in data["undetected_faults"]
+    )
+
+
 def _cache_load(key: str) -> ATPGResult | None:
-    path = _cache_dir() / f"{key}.json"
-    if not path.exists():
-        return None
+    """The cached result; None on a miss or an unreadable or ill-typed entry."""
     try:
-        with path.open() as fh:
-            return ATPGResult.from_json(json.load(fh))
-    except (json.JSONDecodeError, TypeError, KeyError):
+        data = json.loads((_cache_dir() / f"{key}.json").read_bytes())
+    except (OSError, ValueError):   # missing, unreadable, truncated, not UTF-8
         return None
+    return ATPGResult.from_json(data) if _well_typed(data) else None
 
 
 def _cache_store(key: str, result: ATPGResult) -> None:
+    """Write one entry atomically: readers never see a partial file."""
     directory = _cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{key}.json"
-    with path.open("w") as fh:
-        json.dump(result.to_json(), fh)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{key}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(result.to_json(), fh)
+        os.replace(tmp, directory / f"{key}.json")
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -1,5 +1,6 @@
 """ATPG substrate tests: faults, fault simulation, PODEM, the engine."""
 
+import json
 import random
 
 import pytest
@@ -15,7 +16,9 @@ from repro.atpg import (
     enumerate_faults,
     run_atpg,
 )
+from repro.atpg.podem import ONE, X, ZERO
 from repro.netlist import CellType, Netlist, WordBuilder
+from repro.netlist.cells import FAN_IN
 
 
 def _and_circuit():
@@ -131,6 +134,52 @@ def test_faultsim_matches_bruteforce(seed):
         assert ((masks >> k) & 1) == int(_brute_force_detects(nl, fault, pattern))
 
 
+def _random_netlist(rng):
+    """A small random DAG over every cell type, with fanout and a floating net.
+
+    The floating net (no driver, not a PI) is read by at least one gate;
+    a few gates may stay unobserved.
+    """
+    nl = Netlist("rand")
+    nets = [nl.add_input() for _ in range(rng.randint(2, 5))]
+    floating = nl.new_net("floating")
+    nets.append(floating)
+    cells = list(CellType)
+    for _ in range(rng.randint(4, 14)):
+        cell = rng.choice(cells)
+        lo, hi = FAN_IN[cell]
+        ins = [rng.choice(nets) for _ in range(rng.randint(lo, hi))]
+        nets.append(nl.add_gate(cell, ins))
+    if not nl.nets[floating].fanout:
+        nets.append(nl.add_gate(CellType.AND, [floating, nets[0]]))
+    driven = [n for n in nets if nl.nets[n].driver is not None]
+    for net in rng.sample(driven, min(len(driven), rng.randint(1, 3))):
+        nl.add_output(net)
+    nl.add_output(driven[-1])
+    return nl
+
+
+def _random_faults(nl):
+    """Every enumerated fault plus stem faults on the floating net."""
+    floating = [n.nid for n in nl.nets if n.name == "floating"]
+    return enumerate_faults(nl) + [Fault(n, v) for n in floating for v in (0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_faultsim_matches_bruteforce_random_netlists(seed):
+    rng = random.Random(seed)
+    nl = _random_netlist(rng)
+    faults = _random_faults(nl)
+    patterns = [rng.getrandbits(len(nl.inputs)) for _ in range(rng.randint(1, 8))]
+    masks = FaultSimulator(nl).simulate_word(patterns, faults)
+    for fault in faults:
+        for k, pattern in enumerate(patterns):
+            assert ((masks[fault] >> k) & 1) == int(
+                _brute_force_detects(nl, fault, pattern)
+            ), (fault.describe(nl), k)
+
+
 def test_faultsim_po_stem_fault():
     nl = _and_circuit()
     y = nl.outputs[0]
@@ -143,6 +192,80 @@ def test_faultsim_po_stem_fault():
 # ----------------------------------------------------------------------
 # PODEM
 # ----------------------------------------------------------------------
+def eval3(cell_type: CellType, ins: list[int]) -> int:
+    """Reference: evaluate one cell in {0, 1, X} logic."""
+    if cell_type is CellType.CONST0:
+        return ZERO
+    if cell_type is CellType.CONST1:
+        return ONE
+    if cell_type is CellType.BUF:
+        return ins[0]
+    if cell_type is CellType.NOT:
+        v = ins[0]
+        return X if v == X else 1 - v
+    if cell_type in (CellType.AND, CellType.NAND):
+        invert = cell_type is CellType.NAND
+        if any(v == ZERO for v in ins):
+            out = ZERO
+        elif any(v == X for v in ins):
+            return X
+        else:
+            out = ONE
+        return (1 - out) if invert else out
+    if cell_type in (CellType.OR, CellType.NOR):
+        invert = cell_type is CellType.NOR
+        if any(v == ONE for v in ins):
+            out = ONE
+        elif any(v == X for v in ins):
+            return X
+        else:
+            out = ZERO
+        return (1 - out) if invert else out
+    if cell_type in (CellType.XOR, CellType.XNOR):
+        if any(v == X for v in ins):
+            return X
+        out = 0
+        for v in ins:
+            out ^= v
+        return out ^ (1 if cell_type is CellType.XNOR else 0)
+    raise ValueError(f"unknown cell type {cell_type}")
+
+
+def _reference_implication(nl, assignment, fault):
+    """Reference: three-valued good/faulty simulation, gate by gate."""
+    good = [X] * nl.num_nets
+    faulty = [X] * nl.num_nets
+    for pi in nl.inputs:
+        good[pi] = faulty[pi] = assignment.get(pi, X)
+    if not fault.is_branch and nl.nets[fault.net].driver is None:
+        faulty[fault.net] = fault.stuck_at
+    for gid in nl.topological_order():
+        gate = nl.gates[gid]
+        good[gate.output] = eval3(gate.cell_type, [good[n] for n in gate.inputs])
+        f_ins = [faulty[n] for n in gate.inputs]
+        if fault.is_branch and gid == fault.gate:
+            f_ins[fault.pin] = fault.stuck_at
+        faulty[gate.output] = eval3(gate.cell_type, f_ins)
+        if not fault.is_branch and gate.output == fault.net:
+            faulty[gate.output] = fault.stuck_at
+    return good, faulty
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_podem_implication_matches_reference(seed):
+    rng = random.Random(seed)
+    nl = _random_netlist(rng)
+    podem = Podem(nl)
+    for fault in _random_faults(nl):
+        assignment = {
+            pi: rng.choice((ZERO, ONE)) for pi in nl.inputs if rng.random() < 0.6
+        }
+        assert podem.implication(assignment, fault) == _reference_implication(
+            nl, assignment, fault
+        ), fault.describe(nl)
+
+
 def test_podem_finds_tests_for_all_adder_faults():
     nl = _adder(3)
     faults, _ = collapse_faults(nl)
@@ -246,6 +369,58 @@ def test_engine_cache_roundtrip(tmp_path, monkeypatch):
     r2 = run_atpg(nl, use_cache=True)
     assert r1.patterns == r2.patterns
     assert list(tmp_path.glob("*.json"))
+
+
+def _edit(raw: bytes, **changes) -> bytes:
+    return json.dumps({**json.loads(raw), **changes}).encode()
+
+
+def _drop_redundant(raw: bytes) -> bytes:
+    entry = json.loads(raw)
+    del entry["redundant"]
+    return json.dumps(entry).encode()
+
+
+#: Ways a cache entry can be unreadable or ill-typed: valid bytes -> corrupt.
+_CORRUPTIONS = {
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "empty": lambda raw: b"",
+    "not-utf8": lambda raw: b"\xff\xfe\x00\x80" + raw,
+    "not-an-object": lambda raw: b"[" + raw + b"]",
+    "patterns-str": lambda raw: _edit(raw, patterns="xyz"),
+    "pattern-str": lambda raw: _edit(raw, patterns=[1, "2"]),
+    "count-str": lambda raw: _edit(raw, num_faults="98"),
+    "count-bool": lambda raw: _edit(raw, detected=True),
+    "count-negative": lambda raw: _edit(raw, aborted=-1),
+    "missing-field": _drop_redundant,
+    "extra-field": lambda raw: _edit(raw, extra=0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CORRUPTIONS))
+def test_engine_corrupt_cache_entry_is_a_miss(kind, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_ATPG_CACHE", str(tmp_path))
+    nl = _adder(4)
+    expected = run_atpg(nl, use_cache=True).to_json()
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_bytes(_CORRUPTIONS[kind](entry.read_bytes()))
+    assert run_atpg(nl, use_cache=True).to_json() == expected
+    # recomputed and overwritten with a valid entry, no temp file left
+    assert json.loads(entry.read_text()) == expected
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def test_engine_cache_store_is_atomic(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_ATPG_CACHE", str(tmp_path))
+    nl = _adder(3)
+
+    def fail(*_args, **_kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("repro.atpg.engine.json.dump", fail)
+    with pytest.raises(OSError):
+        run_atpg(nl, use_cache=True)
+    assert list(tmp_path.iterdir()) == []   # no partial entry, no temp file
 
 
 def test_coverage_properties():
