@@ -266,6 +266,17 @@ def test_podem_implication_matches_reference(seed):
         ), fault.describe(nl)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_podem_patterns_detect_on_random_netlists(seed):
+    nl = _random_netlist(random.Random(seed))
+    podem = Podem(nl, backtrack_limit=64)
+    for fault in _random_faults(nl):
+        result = podem.generate(fault)
+        if result.outcome is PodemOutcome.DETECTED:
+            assert _brute_force_detects(nl, fault, result.pattern), fault.describe(nl)
+
+
 def test_podem_finds_tests_for_all_adder_faults():
     nl = _adder(3)
     faults, _ = collapse_faults(nl)
