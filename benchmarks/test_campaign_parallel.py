@@ -1,10 +1,10 @@
-"""Campaign engine — the parallel evaluation hot path on the Crypt grid.
+"""Parallel evaluation — the sweep hot path on the Crypt grid.
 
-Each of the 168 Crypt templates compiles independently, so the campaign
-runner fans ``evaluate_config`` out over a process pool.  This bench
-measures the fan-out against the serial loop on the full grid, records
-both timings as an artifact, and — the part that must never regress —
-asserts the two paths produce point-for-point identical results.
+Each of the 168 Crypt templates compiles independently, so the study
+engine's ``evaluate_configs`` fans them out over a process pool.  This
+bench measures the fan-out against the serial loop on the full grid,
+records both timings as an artifact, and — the part that must never
+regress — asserts the two paths produce point-for-point identical results.
 
 A wall-clock win is only asserted on multi-core machines; on a single
 CPU the bench still verifies determinism and bounds the pool overhead.
@@ -17,9 +17,9 @@ from time import perf_counter
 
 from benchmarks.conftest import save_artifact
 from repro.apps.registry import build_workload
-from repro.campaign.runner import evaluate_configs
 from repro.compiler import IRInterpreter
 from repro.explore import crypt_space, pareto_filter
+from repro.study.engine import evaluate_configs
 
 
 def _inputs():

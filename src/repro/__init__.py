@@ -115,14 +115,9 @@ from repro.testcost import (
     transport_latency,
 )
 
-# Campaign engine (also behind the `python -m repro` CLI)
+# Workload/space registries and the shared result cache
 from repro.apps.registry import build_workload, workload_names
-from repro.campaign import (
-    CampaignResult,
-    CampaignSpec,
-    ResultCache,
-    run_campaign,
-)
+from repro.campaign import ResultCache
 from repro.explore.space import dsp_space, space_by_name, space_names
 
 # Study engine — the declarative entry point over everything above
@@ -161,8 +156,6 @@ __all__ = [
     "ATPGResult",
     "ArchConfig",
     "Architecture",
-    "CampaignResult",
-    "CampaignSpec",
     "CompileResult",
     "ComponentKind",
     "ComponentSpec",
@@ -232,7 +225,6 @@ __all__ = [
     "register_strategy",
     "register_technology",
     "run_atpg",
-    "run_campaign",
     "run_march",
     "run_study",
     "schedule_tests",

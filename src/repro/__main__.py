@@ -4,11 +4,11 @@ The batch subcommands drive the paper's flow at campaign scale:
 
 * ``study``    — the general entry point: one declarative spec
   (workloads, space, objectives, strategy) through the study engine,
-* ``explore``  — one workload on one named space (a thin alias for a
+* ``explore``  — preset: one workload on one named space (a
   one-workload exhaustive study),
-* ``campaign`` — a full spec (JSON file or flags): workloads x spaces x
-  widths, parallel workers, on-disk result cache, per-run exports —
-  executed as N studies sharing the cache,
+* ``campaign`` — preset: workloads x spaces x widths from flags or a
+  campaign JSON file, run as one study per (space, width) over one
+  result cache, with per-run exports (``--out-dir``),
 * ``energy``   — compile one workload onto one configuration, simulate
   it with activity tracing and print the component-level energy
   breakdown,
@@ -30,13 +30,17 @@ The service subcommands run the same engine as a long-lived job server
 * ``results``  — fetch a finished job's result JSON,
 * ``cancel``   — cancel a queued or running job.
 
-``study`` and ``campaign`` take ``--fault-policy skip|retry`` (plus
-``--max-retries`` and ``--point-timeout``) so one dying configuration
-costs a point, not the run; ``study`` additionally checkpoints with
-``--checkpoint FILE`` / ``--checkpoint-every N`` and continues a killed
-run with ``--resume FILE``.  Study exit codes are structured: 0 clean,
-1 usage/runtime error, 3 interrupted (partial result), 4 completed but
-with failed points recorded.
+The presets only translate their flags into
+:class:`~repro.study.spec.StudySpec` lists; all three commands share
+one run/output path (:func:`cmd_study`) and so one summary, one
+``--metrics-out`` writer and one exit-code rule: 0 clean, 1
+usage/runtime error, 3 interrupted (partial result), 4 completed but
+with failed points recorded.  ``study`` and ``campaign`` take
+``--fault-policy skip|retry`` (plus ``--max-retries`` and
+``--point-timeout``) so one dying configuration costs a point, not the
+run; ``study`` additionally checkpoints with ``--checkpoint FILE`` /
+``--checkpoint-every N`` and continues a killed run with ``--resume
+FILE``.
 
 ``study``, ``explore`` and ``campaign`` accept ``--profile`` to dump a
 cProfile top-25 (cumulative) of the run to stderr.  ``study``,
@@ -56,11 +60,12 @@ import json
 import sys
 from pathlib import Path
 
-from repro.apps.registry import workload_entry, workload_names
-from repro.campaign import CampaignSpec, ResultCache, run_campaign
+from repro.apps.registry import build_workload, workload_entry, workload_names
+from repro.campaign import ResultCache
 from repro.energy import technology_by_name, technology_names
+from repro.explore.evaluate import EvaluationContext
 from repro.explore.pareto import pareto_filter
-from repro.explore.space import space_by_name, space_names
+from repro.explore.space import ArchConfig, space_by_name, space_names
 from repro.reporting import (
     exploration_from_csv,
     exploration_from_json,
@@ -75,7 +80,9 @@ from repro.study import (
     objective_names,
     strategy_by_name,
     strategy_names,
+    workload_profile,
 )
+from repro.study.spec import campaign_dict
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -264,13 +271,75 @@ def _study_spec_from_args(args: argparse.Namespace) -> StudySpec:
     )
 
 
-def _run_study(args: argparse.Namespace, spec: StudySpec | None):
-    """Build and run one study from parsed CLI args (shared plumbing).
+def _study_specs(args: argparse.Namespace) -> list[StudySpec] | None:
+    """``study``: the one spec, or ``None`` under ``--resume``."""
+    if args.resume:
+        return None
+    return [_study_spec_from_args(args)]
 
-    ``spec=None`` means ``--resume``: the spec is rebuilt (and
+
+def _explore_specs(args: argparse.Namespace) -> list[StudySpec]:
+    """``explore``: a one-workload exhaustive study."""
+    objectives = ("area", "cycles")
+    if args.test_costs:
+        objectives += ("test_cost",)
+    return [StudySpec(
+        name=f"explore-{args.workload}",
+        workloads=(args.workload,),
+        space=args.space,
+        width=args.width,
+        objectives=objectives,
+        select=args.select,
+        march=args.march,
+    )]
+
+
+def _campaign_data(args: argparse.Namespace) -> dict:
+    """``campaign``: the campaign dict from ``--spec FILE`` or the flags."""
+    if args.spec:
+        return json.loads(Path(args.spec).read_text())
+    if not args.workloads:
+        raise SystemExit("campaign: need --spec FILE or --workloads LIST")
+    return {
+        "name": args.name,
+        "workloads": args.workloads.split(","),
+        "spaces": args.spaces.split(","),
+        "widths": [int(w) for w in args.widths.split(",")],
+        "attach_test_costs": args.test_costs,
+        "select": args.select,
+        "march": args.march,
+    }
+
+
+def _campaign_specs(args: argparse.Namespace) -> list[StudySpec]:
+    return StudySpec.from_campaign(_campaign_data(args))
+
+
+def _run_all(studies: list[Study]):
+    """Run ``studies`` in order as one result (runs concatenated).
+
+    The result's spec is the first study's: a campaign's studies share
+    name, strategy and objectives, which is all the summary reads.  An
+    interrupted study ends the sequence.
+    """
+    result = studies[0].run()
+    for study in studies[1:]:
+        if result.interrupted:
+            break
+        more = study.run()
+        result.runs += more.runs
+        result.interrupted = more.interrupted
+    return result
+
+
+def _run_study(args: argparse.Namespace, specs: list[StudySpec] | None):
+    """Run ``specs`` under one cache and one tracer (shared plumbing).
+
+    ``specs=None`` means ``--resume``: the spec is rebuilt (and
     hash-verified) from the checkpoint file instead of the flags.
-    The tracer is closed in the ``finally`` so an interrupted run
-    still leaves a valid JSONL trace behind.
+    Every study is built — so every spec validated — before the first
+    one runs.  The tracer is closed in the ``finally`` so an
+    interrupted run still leaves a valid JSONL trace behind.
     """
     tracer = _make_tracer(args)
     common = dict(
@@ -285,26 +354,47 @@ def _run_study(args: argparse.Namespace, spec: StudySpec | None):
         calibrate_front=getattr(args, "calibrate", False),
     )
     try:
-        if spec is None:
-            study = Study.resume(args.resume, **common)
+        if specs is None:
+            studies = [Study.resume(args.resume, **common)]
         else:
-            study = Study(
-                spec,
-                checkpoint=getattr(args, "checkpoint", None),
-                **common,
-            )
-        return _maybe_profiled(args, study.run)
+            studies = [
+                Study(
+                    spec,
+                    checkpoint=getattr(args, "checkpoint", None),
+                    **common,
+                )
+                for spec in specs
+            ]
+        return _maybe_profiled(args, lambda: _run_all(studies))
     finally:
         if tracer is not None:
             tracer.close()
 
 
-def cmd_study(args: argparse.Namespace) -> int:
-    spec = None if getattr(args, "resume", None) else (
-        _study_spec_from_args(args)
+def _write_out_dir(runs, args: argparse.Namespace) -> None:
+    """``campaign --out-dir``: the campaign dict plus one file per run."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "spec.json").write_text(
+        json.dumps(campaign_dict(_campaign_data(args)), indent=2) + "\n"
     )
-    result = _run_study(args, spec)
+    for run in runs:
+        stem = run.label.replace("/", "__")
+        text = _points_text(run.result.points, args.out_format)
+        (out / f"{stem}.{args.out_format}").write_text(text)
+    print(f"wrote {len(runs)} result files to {out}", file=sys.stderr)
+
+
+def cmd_study(args: argparse.Namespace) -> int:
+    """``study`` and its ``explore``/``campaign`` presets.
+
+    Each subcommand's ``specs`` callable turns its flags into the
+    StudySpec list; everything after that is shared.
+    """
+    result = _run_study(args, args.specs(args))
     _write_metrics(result.runs, args)
+    if getattr(args, "out_dir", None):
+        _write_out_dir(result.runs, args)
     for failure in result.failures:
         print(f"failed: {failure}", file=sys.stderr)
     if result.interrupted:
@@ -340,136 +430,55 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# explore (thin alias: a one-workload exhaustive study)
-# ----------------------------------------------------------------------
-def cmd_explore(args: argparse.Namespace) -> int:
-    objectives = ("area", "cycles")
-    if args.test_costs:
-        objectives += ("test_cost",)
-    result = _run_study(args, StudySpec(
-        name=f"explore-{args.workload}",
-        workloads=(args.workload,),
-        space=args.space,
-        width=args.width,
-        objectives=objectives,
-        strategy="exhaustive",
-        select=args.select,
-        march=args.march,
-    ))
-    run = result.single
-    points = run.result.pareto2d if args.pareto else run.result.points
-    if args.format == "summary":
-        text = run.result.summary()
-        text += (
-            f"\n  cache: {run.stats.cache_hits} hits, "
-            f"{run.stats.evaluated} evaluated in {run.stats.elapsed:.2f}s"
-        )
-        for line in _selection_lines(result.runs):
-            text += "\n" + line
-    else:
-        text = _points_text(points, args.format)
-    _emit(text, args.output)
-    return 0
-
-
-# ----------------------------------------------------------------------
-# campaign
-# ----------------------------------------------------------------------
-def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
-    if args.spec:
-        return CampaignSpec.from_json(Path(args.spec).read_text())
-    if not args.workloads:
-        raise SystemExit("campaign: need --spec FILE or --workloads LIST")
-    return CampaignSpec(
-        name=args.name,
-        workloads=tuple(args.workloads.split(",")),
-        spaces=tuple(args.spaces.split(",")),
-        widths=tuple(int(w) for w in args.widths.split(",")),
-        attach_test_costs=args.test_costs,
-        select=args.select,
-        march=args.march,
-    )
-
-
-def cmd_campaign(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    tracer = _make_tracer(args)
-    try:
-        campaign = _maybe_profiled(
-            args,
-            lambda: run_campaign(
-                spec,
-                workers=args.workers,
-                cache=_make_cache(args),
-                progress=None if args.quiet else _progress,
-                tracer=tracer,
-                collect_metrics=_collect_metrics(args),
-                policy=_make_policy(args),
-            ),
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    _write_metrics(campaign.runs, args)
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "spec.json").write_text(spec.to_json() + "\n")
-        for run in campaign.runs:
-            stem = run.label.replace("/", "__")
-            text = _points_text(run.result.points, args.format)
-            suffix = "csv" if args.format == "csv" else "json"
-            (out / f"{stem}.{suffix}").write_text(text)
-        print(f"wrote {len(campaign.runs)} result files to {out}",
-              file=sys.stderr)
-    print(campaign.summary())
-    for line in _selection_lines(campaign.runs):
-        print(line)
-    return 0
-
-
-# ----------------------------------------------------------------------
 # energy
 # ----------------------------------------------------------------------
-def cmd_energy(args: argparse.Namespace) -> int:
-    import json as _json
+def _cli_config(args: argparse.Namespace) -> ArchConfig:
+    """The configuration ``--config FILE`` or ``--space``/``--index`` names."""
+    if args.config:
+        return ArchConfig.from_dict(json.loads(Path(args.config).read_text()))
+    space = space_by_name(args.space)
+    if not 0 <= args.index < len(space):
+        raise ValueError(
+            f"--index {args.index} outside space "
+            f"{args.space!r} (0..{len(space) - 1})"
+        )
+    return space[args.index]
 
+
+def _compile_onto(workload_name: str, config: ArchConfig, width: int,
+                  metrics=None):
+    """Evaluate one workload on one configuration, keeping its program.
+
+    Raises ValueError when the workload does not compile onto it.
+    """
+    context = EvaluationContext(
+        build_workload(workload_name),
+        workload_profile(workload_name, width),
+        width,
+        metrics=metrics,
+    )
+    point = context.evaluate(config, keep_compile_result=True)
+    if not point.feasible:
+        raise ValueError(
+            f"{workload_name} does not compile onto {config.label()}"
+        )
+    return point
+
+
+def cmd_energy(args: argparse.Namespace) -> int:
     from repro.energy import energy_report, format_energy_report
-    from repro.explore.space import ArchConfig, build_architecture_cached
-    from repro.study.engine import workload_profile
-    from repro.apps.registry import build_workload
-    from repro.explore.evaluate import EvaluationContext
+    from repro.explore.space import build_architecture_cached
     from repro.telemetry import MetricsCollector
 
-    if args.config:
-        config = ArchConfig.from_dict(
-            _json.loads(Path(args.config).read_text())
-        )
-    else:
-        space = space_by_name(args.space)
-        if not 0 <= args.index < len(space):
-            raise ValueError(
-                f"--index {args.index} outside space "
-                f"{args.space!r} (0..{len(space) - 1})"
-            )
-        config = space[args.index]
+    config = _cli_config(args)
     tech = technology_by_name(args.tech)
-    workload = build_workload(args.workload)
-    profile = workload_profile(args.workload, args.width)
     metrics = MetricsCollector()
+    point = _compile_onto(args.workload, config, args.width, metrics)
     tracer = _make_tracer(args)
     label = f"{args.workload}/{config.label()}/w{args.width}"
     try:
         if tracer is not None:
             tracer.study = f"energy:{args.workload}"
-        context = EvaluationContext(
-            workload, profile, args.width, metrics=metrics
-        )
-        point = context.evaluate(config, keep_compile_result=True)
-        if not point.feasible:
-            raise ValueError(
-                f"{args.workload} does not compile onto {config.label()}"
-            )
         arch = build_architecture_cached(config, args.width)
 
         def run_report():
@@ -503,34 +512,10 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-
 # ----------------------------------------------------------------------
 # rtl (full-core emission + model calibration)
 # ----------------------------------------------------------------------
-def _rtl_config(args: argparse.Namespace):
-    """Resolve an ArchConfig exactly like ``energy`` does."""
-    import json as _json
-
-    from repro.explore.space import ArchConfig
-
-    if args.config:
-        return ArchConfig.from_dict(
-            _json.loads(Path(args.config).read_text())
-        )
-    space = space_by_name(args.space)
-    if not 0 <= args.index < len(space):
-        raise ValueError(
-            f"--index {args.index} outside space "
-            f"{args.space!r} (0..{len(space) - 1})"
-        )
-    return space[args.index]
-
-
 def cmd_rtl(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.apps.registry import build_workload
-    from repro.explore.evaluate import EvaluationContext
     from repro.explore.space import build_architecture_cached
     from repro.rtl import (
         calibrate,
@@ -538,30 +523,21 @@ def cmd_rtl(args: argparse.Namespace) -> int:
         format_calibration_report,
         lint_core,
     )
-    from repro.study.engine import workload_profile
 
-    config = _rtl_config(args)
+    config = _cli_config(args)
 
     if args.rtl_command == "emit":
         arch = build_architecture_cached(config, args.width)
         program = None
         if args.workload:
-            workload = build_workload(args.workload)
-            profile = workload_profile(args.workload, args.width)
-            context = EvaluationContext(workload, profile, args.width)
-            point = context.evaluate(config, keep_compile_result=True)
-            if not point.feasible:
-                raise ValueError(
-                    f"{args.workload} does not compile onto "
-                    f"{config.label()}"
-                )
+            point = _compile_onto(args.workload, config, args.width)
             program = point.compile_result.program
         design = elaborate_core(arch, program=program, top_name=args.top)
         problems = lint_core(design)
         for problem in problems:
             print(f"lint: {problem}", file=sys.stderr)
         if args.format == "json":
-            text = _json.dumps(
+            text = json.dumps(
                 {
                     "top": design.top_name,
                     "config": config.label(),
@@ -589,7 +565,7 @@ def cmd_rtl(args: argparse.Namespace) -> int:
         max_cycles=args.max_cycles,
     )
     if args.format == "json":
-        text = _json.dumps(report.to_dict(), indent=2)
+        text = json.dumps(report.to_dict(), indent=2)
     else:
         text = format_calibration_report(report)
     _emit(text, args.output)
@@ -1112,7 +1088,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(testing aid; the run is flagged interrupted)")
     # None (not 1) so a --spec file's own `workers` field wins unless
     # the flag is given explicitly.
-    p.set_defaults(func=cmd_study, workers=None)
+    p.set_defaults(func=cmd_study, specs=_study_specs, workers=None)
 
     p = sub.add_parser("explore", help="one workload on one space")
     p.add_argument("--workload", required=True,
@@ -1121,14 +1097,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of: {', '.join(space_names())}")
     p.add_argument("--width", type=int, default=16)
     p.add_argument("--pareto", action="store_true",
-                   help="export only the 2-D Pareto points")
+                   help="export only the Pareto points (2-D; 3-D with "
+                        "--test-costs)")
     p.add_argument("--format", choices=("summary", "csv", "json"),
                    default="summary")
     p.add_argument("-o", "--output", default=None,
                    help="write to file instead of stdout")
     _add_run_args(p)
     _add_cache_args(p)
-    p.set_defaults(func=cmd_explore)
+    p.set_defaults(func=cmd_study, specs=_explore_specs)
 
     p = sub.add_parser("campaign", help="run a multi-workload campaign")
     p.add_argument("--spec", default=None,
@@ -1142,13 +1119,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated datapath widths")
     p.add_argument("--out-dir", default=None,
                    help="write spec.json + per-run result files here")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
+    p.add_argument("--format", dest="out_format", choices=("csv", "json"),
+                   default="csv",
                    help="format of the per-run result files")
     _add_run_args(p)
     _add_cache_args(p)
     _add_telemetry_args(p)
     _add_fault_args(p)
-    p.set_defaults(func=cmd_campaign)
+    # The summary always goes to stdout; --format names the file format.
+    p.set_defaults(func=cmd_study, specs=_campaign_specs,
+                   format="summary", output=None, pareto=False)
 
     p = sub.add_parser("energy",
                        help="component-level energy breakdown of one "

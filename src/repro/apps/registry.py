@@ -1,7 +1,7 @@
 """A workload registry: IR builders addressable by name.
 
-The campaign engine and the ``python -m repro`` CLI refer to workloads
-by name ("crypt", "fir", ...) so campaign specs stay declarative JSON
+Study specs, the result cache and the ``python -m repro`` CLI refer to
+workloads by name ("crypt", "fir", ...) so specs stay declarative JSON
 instead of Python call sites.  Each entry pins the builder's reference
 inputs, making the produced IR — and therefore cache keys and results —
 reproducible across runs and machines.

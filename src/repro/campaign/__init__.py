@@ -1,17 +1,10 @@
-"""Campaign engine: orchestrated multi-workload design-space sweeps.
+"""The on-disk result cache every study, campaign and service job shares.
 
-Turns the one-shot :func:`repro.explore.explore` call into batched
-campaigns — the production layer the MOVE-style toolchains put on top of
-their evaluators:
-
-* :class:`CampaignSpec` — declarative (workloads x spaces x widths,
-  test-cost / selection switches), JSON round-trip;
-* :class:`ResultCache` — on-disk point cache making campaigns
-  resumable and re-runs near-free;
-* :func:`run_campaign` — the executor, with a process-pool fan-out for
-  ``workers > 1`` and a deterministic serial path for ``workers=1``.
-
-Driven from Python or the ``python -m repro`` CLI.
+Point entries are keyed by (workload, ArchConfig, width), which makes
+sweeps resumable and re-runs near-free.  A campaign itself is a list
+of :class:`~repro.study.spec.StudySpec` (see
+:meth:`~repro.study.spec.StudySpec.from_campaign`) that the study
+engine runs over one :class:`ResultCache`.
 """
 
 from repro.campaign.cache import (
@@ -20,24 +13,10 @@ from repro.campaign.cache import (
     cache_key,
     default_cache_dir,
 )
-from repro.campaign.runner import (
-    CampaignResult,
-    RunStats,
-    WorkloadRun,
-    evaluate_configs,
-    run_campaign,
-)
-from repro.campaign.spec import CampaignSpec
 
 __all__ = [
     "CacheStats",
-    "CampaignResult",
-    "CampaignSpec",
     "ResultCache",
-    "RunStats",
-    "WorkloadRun",
     "cache_key",
     "default_cache_dir",
-    "evaluate_configs",
-    "run_campaign",
 ]

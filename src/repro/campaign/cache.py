@@ -3,7 +3,7 @@
 Each point of a sweep is one small JSON file keyed by a stable hash of
 ``(workload name, ArchConfig, width)`` — the full evaluation inputs, so
 a key collision can only mean an identical evaluation.  Writes go
-through a temp-file rename, which makes a campaign interruptible at any
+through a temp-file rename, which makes a sweep interruptible at any
 point: whatever finished is durable, and the next run resumes from the
 surviving entries instead of re-compiling them.
 

@@ -9,7 +9,7 @@ allocations are reused) and simulated once with activity tracing; the
 resulting breakdown total becomes ``point.energy``.
 
 A per-process memo keyed on (workload, config, width, technology)
-serves repeated attachments — the same key the campaign
+serves repeated attachments — the same key the
 :class:`~repro.campaign.cache.ResultCache` persists across runs.
 """
 

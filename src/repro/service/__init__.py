@@ -1,7 +1,7 @@
 """The study service: a long-running, multi-tenant job server.
 
-The batch surfaces (``repro study``, ``repro campaign``) run one spec
-and exit.  This package turns the same engine into a *service*: a
+The batch surface (``repro study``, and its ``explore``/``campaign``
+presets) runs its specs and exits.  This package turns the same engine into a *service*: a
 single asyncio process that accepts :class:`~repro.study.spec.
 StudySpec` submissions over a line-delimited JSON protocol
 (:mod:`~repro.service.protocol`), queues them with priorities and

@@ -5,7 +5,8 @@ its generalisations):
 
 * :class:`StudySpec` — frozen, JSON-round-trippable description of a
   study (workloads by registry name, space by name or inline configs,
-  objective names, strategy name + params);
+  objective names, strategy name + params); legacy campaign JSON reads
+  in as one study per (space, width) via :meth:`StudySpec.from_campaign`;
 * the **objective registry** (``area``, ``cycles``, ``test_cost``,
   ``energy``, ``edp`` seeded) — pluggable cost axes with per-axis
   post-pass requirements (the test-cost pass runs the analytical model,
@@ -15,8 +16,8 @@ its generalisations):
   one evaluation interface with caching, resume and process-pool
   fan-out;
 * :class:`Study` / :func:`run_study` — the executor, returning a
-  :class:`StudyResult`; the campaign runner is N studies sharing one
-  result cache.
+  :class:`StudyResult`.  A campaign is those studies run over one
+  shared result cache.
 """
 
 from repro.study.engine import (

@@ -10,9 +10,11 @@ the weighted norm.  The result type, :class:`StudyResult`, is the one
 shape every exploration in the repo produces.
 
 Every other surface is a thin layer over this engine:
-:func:`run_search` is one uncached strategy run on in-memory IR, and a
-campaign is N studies sharing one :class:`~repro.campaign.cache.
-ResultCache`.
+:func:`run_search` is one uncached strategy run on in-memory IR, and
+the CLI's ``explore`` and ``campaign`` commands are presets that build
+:class:`~repro.study.spec.StudySpec` lists (a campaign is one study per
+(space, width) over one shared :class:`~repro.campaign.cache.
+ResultCache`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from time import perf_counter
 from typing import Callable, Iterable, Iterator
 
 from repro.apps.registry import build_workload
+from repro.campaign.cache import decode_entry, encode_entry
 from repro.compiler.interp import IRInterpreter
 from repro.compiler.ir import IRFunction
 from repro.energy.attach import attach_energy
@@ -62,24 +65,6 @@ from repro.testcost.cost import attach_test_costs
 
 ProgressFn = Callable[[str], None]
 
-_CODEC = None
-
-
-def _entry_codec():
-    """The cache's (encode_entry, decode_entry) pair, imported lazily.
-
-    Checkpoints store completed points in the exact entry shape the
-    result cache writes, so the two formats cannot drift — but
-    ``repro.campaign`` imports this module, so the codec import must
-    not run at import time.
-    """
-    global _CODEC
-    if _CODEC is None:
-        from repro.campaign.cache import decode_entry, encode_entry
-
-        _CODEC = (encode_entry, decode_entry)
-    return _CODEC
-
 
 @lru_cache(maxsize=256)
 def _entry_profile(entry, width: int) -> tuple[tuple[str, int], ...]:
@@ -87,8 +72,8 @@ def _entry_profile(entry, width: int) -> tuple[tuple[str, int], ...]:
 
     Registered workloads pin their reference inputs, so the
     :class:`IRInterpreter` run is a pure function of (entry, width) — a
-    campaign of N (workload, space, width) jobs profiles each workload
-    once per width instead of once per job.  Keyed on the frozen
+    campaign's studies (one per space and width) profile each workload
+    once per width instead of once per study.  Keyed on the frozen
     :class:`~repro.apps.registry.WorkloadEntry` itself, not the name:
     re-registering a name installs a new entry (new builder identity)
     and therefore a fresh cache line, never a stale profile.
@@ -320,9 +305,10 @@ class CachedEvaluator:
         if self.overlay:
             entry = self.overlay.get(config.label())
             if entry is not None:
-                _, decode = _entry_codec()
                 try:
-                    point = decode(entry, self.march, self.energy_model)
+                    point = decode_entry(
+                        entry, self.march, self.energy_model
+                    )
                 except (ValueError, KeyError, TypeError, AttributeError):
                     point = None
                 if point is not None:
@@ -337,11 +323,12 @@ class CachedEvaluator:
     def _remember(self, point: EvaluatedPoint) -> None:
         """Record one completed point into the study checkpoint."""
         if self.manager is not None and not point.failed:
-            encode, _ = _entry_codec()
+            # Checkpoints store points in the result cache's entry
+            # shape, so the two formats cannot drift.
             self.manager.record_point(
                 self.label,
                 point.label,
-                encode(
+                encode_entry(
                     self.workload_name, point, self.width, self.march,
                     self.energy_model,
                 ),
@@ -1022,11 +1009,12 @@ class Study:
             return None
         spec = self.spec
         evaluator: CachedEvaluator = cur["evaluator"]
-        _, decode = _entry_codec()
         points: list[EvaluatedPoint] = []
         for entry in self.manager.points(cur["label"]).values():
             try:
-                point = decode(entry, evaluator.march, evaluator.energy_model)
+                point = decode_entry(
+                    entry, evaluator.march, evaluator.energy_model
+                )
             except (ValueError, KeyError, TypeError, AttributeError):
                 point = None
             if point is not None:

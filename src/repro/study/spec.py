@@ -5,8 +5,9 @@ A :class:`StudySpec` is the *what* of one exploration: which workloads
 configurations), at which datapath width, under which objective vector,
 driven by which search strategy.  It is frozen and JSON-round-trippable
 so studies can live in version control next to the results they
-produced, exactly like campaign specs — a campaign *is* N studies
-sharing one result cache.
+produced.  Legacy campaign JSON (workloads x spaces x widths) is read
+by :meth:`StudySpec.from_campaign`: a campaign *is* one multi-workload
+study per (space, width), run over one shared result cache.
 
 Execution knobs that do not change results (cache directory, progress
 callbacks) stay out of the spec; the parallelism hint ``workers`` is
@@ -45,6 +46,36 @@ def _json_safe(value):
     raise ValueError(
         f"strategy param value {value!r} is not JSON-serialisable"
     )
+
+
+def campaign_dict(data: dict) -> dict:
+    """A campaign dict with its defaults filled in, checked.
+
+    The campaign format — ``name``, ``workloads``, ``spaces``,
+    ``widths``, ``attach_test_costs``, ``march``, ``select``,
+    ``weights`` — is what ``repro campaign --spec`` reads.  The
+    returned dict has exactly those keys, in that order, which is also
+    the shape ``repro campaign --out-dir`` records as ``spec.json``.
+    """
+    campaign = {
+        "name": str(data["name"]),
+        "workloads": list(data["workloads"]),
+        "spaces": list(data.get("spaces", ("crypt",))),
+        "widths": [int(w) for w in data.get("widths", (16,))],
+        "attach_test_costs": bool(data.get("attach_test_costs", False)),
+        "march": str(data.get("march", "March C-")),
+        "select": bool(data.get("select", False)),
+        "weights": [float(w) for w in data.get("weights", (1.0, 1.0, 1.0))],
+    }
+    if not campaign["name"]:
+        raise ValueError("campaign needs a name")
+    if not campaign["workloads"]:
+        raise ValueError("campaign needs at least one workload")
+    if not campaign["spaces"]:
+        raise ValueError("campaign needs at least one space")
+    if not campaign["widths"] or any(w <= 0 for w in campaign["widths"]):
+        raise ValueError("widths must be positive")
+    return campaign
 
 
 @dataclass(frozen=True)
@@ -104,8 +135,8 @@ class StudySpec:
                 "use workers=1 for the serial path"
             )
         # Fail before the sweep runs, not in the selection afterwards
-        # (extra weights beyond the vector's dimension are ignored, as
-        # in the campaign surface).
+        # (extra weights beyond the vector's dimension are ignored, so
+        # a campaign's three weights also serve its 2-D studies).
         if self.weights is not None and len(self.weights) < len(
             self.objectives
         ):
@@ -216,6 +247,35 @@ class StudySpec:
             tech=str(data.get("tech", "default")),
             workers=int(data.get("workers", 1)),
         )
+
+    @classmethod
+    def from_campaign(cls, data: dict) -> list[StudySpec]:
+        """The studies a campaign dict (:func:`campaign_dict`) denotes.
+
+        One exhaustive study per (space, width), in that order, each
+        sweeping all the campaign's workloads under the paper's
+        objective vector: (area, cycles), plus the test axis when the
+        campaign attaches test costs.  Every study carries the campaign
+        name, so one tracer records the whole campaign under it.
+        """
+        campaign = campaign_dict(data)
+        objectives = ("area", "cycles")
+        if campaign["attach_test_costs"]:
+            objectives += ("test_cost",)
+        return [
+            cls(
+                name=campaign["name"],
+                workloads=campaign["workloads"],
+                space=space,
+                width=width,
+                objectives=objectives,
+                select=campaign["select"],
+                weights=campaign["weights"],
+                march=campaign["march"],
+            )
+            for space in campaign["spaces"]
+            for width in campaign["widths"]
+        ]
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

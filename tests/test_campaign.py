@@ -1,17 +1,17 @@
-"""Campaign engine: spec round-trip, cache hit/miss/resume, parallelism."""
+"""Campaigns: legacy spec translation, cache hit/miss/resume, parallelism.
+
+A campaign is the study engine run over the specs
+:meth:`StudySpec.from_campaign` builds, sharing one result cache.
+"""
 
 import json
 
 import pytest
 
 from repro.apps import build_workload, workload_entry, workload_names
-from repro.campaign import (
-    CampaignSpec,
-    ResultCache,
-    cache_key,
-    run_campaign,
-)
+from repro.campaign import ResultCache, cache_key
 from repro.explore import ArchConfig, RFConfig, space_by_name, space_names
+from repro.study import StudySpec, run_study
 
 
 # ----------------------------------------------------------------------
@@ -58,26 +58,51 @@ def test_archconfig_from_dict_defaults():
 # spec
 # ----------------------------------------------------------------------
 def test_spec_json_round_trip():
-    spec = CampaignSpec(
-        name="sweep",
-        workloads=("crypt", "gcd"),
-        spaces=("small", "dsp"),
-        widths=(16, 32),
-        attach_test_costs=True,
-        select=True,
-        weights=(2.0, 1.0, 1.0),
-    )
-    assert CampaignSpec.from_json(spec.to_json()) == spec
-    assert len(spec.jobs) == 2 * 2 * 2
-    assert spec.jobs[0] == ("crypt", "small", 16)
+    specs = StudySpec.from_campaign(json.loads(json.dumps({
+        "name": "sweep",
+        "workloads": ["crypt", "gcd"],
+        "spaces": ["small", "dsp"],
+        "widths": [16, 32],
+        "attach_test_costs": True,
+        "select": True,
+        "weights": [2.0, 1.0, 1.0],
+    })))
+    for spec in specs:
+        assert StudySpec.from_json(spec.to_json()) == spec
+    # one multi-workload study per (space, width)
+    assert [(s.space, s.width) for s in specs] == [
+        ("small", 16), ("small", 32), ("dsp", 16), ("dsp", 32),
+    ]
+    assert sum(len(s.workloads) for s in specs) == 2 * 2 * 2
+    first = specs[0]
+    assert first.workloads == ("crypt", "gcd")
+    assert first.name == "sweep" and first.strategy == "exhaustive"
+    assert first.objectives == ("area", "cycles", "test_cost")
+    assert first.select and first.weights == (2.0, 1.0, 1.0)
+    assert first.march == "March C-"
+
+
+def test_spec_defaults():
+    (spec,) = StudySpec.from_campaign({"name": "x", "workloads": ["gcd"]})
+    assert (spec.space, spec.width) == ("crypt", 16)
+    assert spec.objectives == ("area", "cycles")
+    assert spec.weights == (1.0, 1.0, 1.0) and not spec.select
 
 
 def test_spec_validation():
+    with pytest.raises(ValueError, match="name"):
+        StudySpec.from_campaign({"name": "", "workloads": ["gcd"]})
     with pytest.raises(ValueError, match="workload"):
-        CampaignSpec(name="x", workloads=())
+        StudySpec.from_campaign({"name": "x", "workloads": []})
+    with pytest.raises(ValueError, match="space"):
+        StudySpec.from_campaign(
+            {"name": "x", "workloads": ["gcd"], "spaces": []}
+        )
     with pytest.raises(ValueError, match="widths"):
-        CampaignSpec(name="x", workloads=("gcd",), widths=(0,))
-    bad = CampaignSpec(name="x", workloads=("nope",))
+        StudySpec.from_campaign(
+            {"name": "x", "workloads": ["gcd"], "widths": [0]}
+        )
+    (bad,) = StudySpec.from_campaign({"name": "x", "workloads": ["nope"]})
     with pytest.raises(KeyError, match="unknown workload"):
         bad.validate()
 
@@ -139,18 +164,18 @@ def test_cache_test_cost_tied_to_march(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# runner
+# campaigns through the study engine
 # ----------------------------------------------------------------------
 def _spec(**kw):
-    defaults = dict(name="t", workloads=("gcd",), spaces=("small",))
-    defaults.update(kw)
-    return CampaignSpec(**defaults)
+    """The single study of a one-space, one-width campaign dict."""
+    data = dict(name="t", workloads=["gcd"], spaces=["small"])
+    data.update(kw)
+    (spec,) = StudySpec.from_campaign(data)
+    return spec
 
 
 def test_campaign_matches_one_shot_study():
-    from repro.study import StudySpec, run_study
-
-    campaign = run_campaign(_spec(), cache=None)
+    campaign = run_study(_spec(), cache=None)
     run = campaign.runs[0]
     one_shot = run_study(
         StudySpec(name="one", workloads=("gcd",), space="small")
@@ -165,9 +190,9 @@ def test_campaign_matches_one_shot_study():
 
 def test_campaign_cache_resume(tmp_path):
     cache = ResultCache(tmp_path)
-    first = run_campaign(_spec(), cache=cache)
+    first = run_study(_spec(), cache=cache)
     assert first.evaluated == 12 and first.cache_hits == 0
-    second = run_campaign(_spec(), cache=cache)
+    second = run_study(_spec(), cache=cache)
     assert second.evaluated == 0 and second.cache_hits == 12
     assert [p.label for p in second.runs[0].result.pareto2d] == [
         p.label for p in first.runs[0].result.pareto2d
@@ -176,11 +201,11 @@ def test_campaign_cache_resume(tmp_path):
 
 def test_campaign_partial_cache_resumes(tmp_path):
     cache = ResultCache(tmp_path)
-    run_campaign(_spec(), cache=cache)
+    run_study(_spec(), cache=cache)
     # drop a third of the entries: an interrupted campaign
     for path in sorted(cache.directory.glob("shards/*/*.json"))[:4]:
         path.unlink()
-    resumed = run_campaign(_spec(), cache=cache)
+    resumed = run_study(_spec(), cache=cache)
     assert resumed.cache_hits == 8 and resumed.evaluated == 4
     assert len(resumed.runs[0].result.points) == 12
 
@@ -203,15 +228,15 @@ def test_campaign_persists_incrementally(tmp_path):
 
     dying = DyingCache(tmp_path, die_after=5)
     with pytest.raises(RuntimeError, match="simulated crash"):
-        run_campaign(_spec(), cache=dying)
+        run_study(_spec(), cache=dying)
     assert len(dying) == 5                  # finished points survived
-    resumed = run_campaign(_spec(), cache=ResultCache(tmp_path))
+    resumed = run_study(_spec(), cache=ResultCache(tmp_path))
     assert resumed.cache_hits == 5 and resumed.evaluated == 7
 
 
 def test_campaign_parallel_equals_serial(tmp_path):
-    serial = run_campaign(_spec(), workers=1, cache=None)
-    parallel = run_campaign(_spec(), workers=2, cache=None)
+    serial = run_study(_spec(), workers=1, cache=None)
+    parallel = run_study(_spec(), workers=2, cache=None)
     s, p = serial.runs[0].result, parallel.runs[0].result
     assert [(q.label, q.area, q.cycles) for q in s.points] == [
         (q.label, q.area, q.cycles) for q in p.points
@@ -221,27 +246,27 @@ def test_campaign_parallel_equals_serial(tmp_path):
 
 def test_campaign_test_costs_and_selection(tmp_path):
     spec = _spec(attach_test_costs=True, select=True)
-    campaign = run_campaign(spec, cache=ResultCache(tmp_path))
+    campaign = run_study(spec, cache=ResultCache(tmp_path))
     run = campaign.runs[0]
     assert all(p.test_cost is not None for p in run.result.pareto2d)
     assert run.result.pareto3d
     assert run.selection is not None
     assert run.selection.point in run.result.pareto3d
     # cached test costs survive the round trip
-    again = run_campaign(spec, cache=ResultCache(tmp_path))
+    again = run_study(spec, cache=ResultCache(tmp_path))
     assert again.evaluated == 0
     assert again.runs[0].selection.point.label == run.selection.point.label
 
 
 def test_campaign_selection_without_test_costs():
-    campaign = run_campaign(_spec(select=True), cache=None)
+    campaign = run_study(_spec(select=True), cache=None)
     assert campaign.runs[0].selection is not None
 
 
 def test_campaign_infeasible_workload_handled():
     # fir needs a MUL; the small space has none -> nothing feasible
-    campaign = run_campaign(
-        _spec(workloads=("fir",), select=True), cache=None
+    campaign = run_study(
+        _spec(workloads=["fir"], select=True), cache=None
     )
     run = campaign.runs[0]
     assert not run.result.feasible_points
@@ -250,21 +275,21 @@ def test_campaign_infeasible_workload_handled():
 
 
 def test_campaign_dsp_space_carries_mul():
-    campaign = run_campaign(
-        _spec(workloads=("dotprod",), spaces=("dsp",)), cache=None
+    campaign = run_study(
+        _spec(workloads=["dotprod"], spaces=["dsp"]), cache=None
     )
     assert campaign.runs[0].result.feasible_points
 
 
 def test_campaign_progress_and_lookup():
     lines = []
-    campaign = run_campaign(_spec(), cache=None, progress=lines.append)
+    campaign = run_study(_spec(), cache=None, progress=lines.append)
     assert any("gcd/small/w16" in line for line in lines)
     assert campaign.run("gcd/small/w16") is campaign.runs[0]
     with pytest.raises(KeyError):
         campaign.run("nope")
     with pytest.raises(ValueError, match="workers"):
-        run_campaign(_spec(), workers=0)
+        run_study(_spec(), workers=0)
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +298,7 @@ def test_campaign_progress_and_lookup():
 def test_pareto_properties_memoized():
     from repro.testcost import attach_test_costs
 
-    campaign = run_campaign(_spec(), cache=None)
+    campaign = run_study(_spec(), cache=None)
     result = campaign.runs[0].result
     first = result.pareto2d
     assert result.pareto2d is first

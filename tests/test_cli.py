@@ -155,8 +155,8 @@ def test_explore_summary(capsys):
         "--no-cache", "-q",
     )
     assert code == 0
-    assert "exploration of gcd" in out
-    assert "Pareto" in out
+    assert "study 'explore-gcd'" in out
+    assert "gcd/small/w16" in out and "Pareto" in out
 
 
 def test_explore_csv_pareto(capsys, tmp_path):
@@ -196,21 +196,76 @@ def test_campaign_flags_and_resume(capsys, tmp_path):
 
 
 def test_campaign_spec_file(capsys, tmp_path):
-    from repro.campaign import CampaignSpec
-
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(
-        CampaignSpec(
-            name="from-file", workloads=("gcd",), spaces=("small",),
-            select=True,
-        ).to_json()
-    )
+    spec_file.write_text(json.dumps(
+        {"name": "from-file", "workloads": ["gcd"], "spaces": ["small"],
+         "select": True}
+    ))
     code, out, _ = _run(
         capsys, "campaign", "--spec", str(spec_file), "--no-cache", "-q",
     )
     assert code == 0
-    assert "campaign 'from-file'" in out
+    assert "study 'from-file'" in out
     assert "selected [gcd/small/w16]" in out
+
+
+def test_campaign_legacy_spec_file_all_fields(capsys, tmp_path):
+    # A campaign file exactly as the old CampaignSpec.to_json wrote it.
+    spec_file = tmp_path / "legacy.json"
+    spec_file.write_text("""{
+  "name": "legacy",
+  "workloads": [
+    "gcd",
+    "checksum"
+  ],
+  "spaces": [
+    "small"
+  ],
+  "widths": [
+    16,
+    32
+  ],
+  "attach_test_costs": true,
+  "march": "MATS+",
+  "select": true,
+  "weights": [
+    2.0,
+    1.0,
+    1.0
+  ]
+}
+""")
+    out_dir = tmp_path / "out"
+    code, out, _ = _run(
+        capsys, "campaign", "--spec", str(spec_file), "--no-cache", "-q",
+        "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    labels = ["gcd/small/w16", "checksum/small/w16",
+              "gcd/small/w32", "checksum/small/w32"]
+    assert "objectives=area+cycles+test_cost" in out
+    assert "4 runs, 48 evaluated" in out
+    for label in labels:
+        assert label in out
+        assert f"selected [{label}]: " in out
+    # spec.json records the campaign dict in the legacy format
+    assert (out_dir / "spec.json").read_text() == spec_file.read_text()
+
+
+def test_campaign_reports_failed_points(capsys):
+    from repro.resilience import faults
+    from repro.resilience.faults import FaultPlan
+
+    faults.install(FaultPlan(kind="raise", label="b1-alu2-8r1R1W"))
+    try:
+        code, _, err = _run(
+            capsys, "campaign", "--workloads", "gcd", "--spaces", "small",
+            "--no-cache", "--fault-policy", "skip", "-q",
+        )
+    finally:
+        faults.clear()
+    assert code == 4
+    assert "failed: b1-alu2-8r1R1W" in err
 
 
 def test_campaign_needs_spec_or_workloads(capsys):
@@ -249,7 +304,7 @@ def test_explore_profile_flag(capsys):
         "--no-cache", "-q", "--profile",
     )
     assert code == 0
-    assert "exploration of gcd" in out
+    assert "study 'explore-gcd'" in out
     # cProfile top-25 cumulative goes to stderr
     assert "cumulative" in err and "ncalls" in err
 

@@ -644,10 +644,12 @@ def test_study_progress_lines():
 # ----------------------------------------------------------------------
 def test_legacy_shims_removed():
     import repro
+    import repro.campaign
     import repro.explore
     import repro.explore.evaluate as evaluate_module
     import repro.explore.explorer as explorer_module
     import repro.explore.iterative as iterative_module
+    import repro.study
 
     # "explore" survives only as the subpackage, never as a callable
     assert "explore" not in repro.__all__
@@ -661,6 +663,14 @@ def test_legacy_shims_removed():
         (iterative_module, "iterative_explore"),
         (evaluate_module, "evaluate_space"),
         (evaluate_module, "evaluate_config"),
+        *(
+            (module, name)
+            for module in (repro, repro.campaign, repro.study)
+            for name in (
+                "run_campaign", "CampaignSpec", "CampaignResult",
+                "WorkloadRun", "study_spec_for_job",
+            )
+        ),
     ):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not callable(getattr(repro.explore, "explore", None))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignSpec, ResultCache, run_campaign
+from repro.campaign import ResultCache
 from repro.resilience import CancelToken
 from repro.study import StudySpec, run_study
 from repro.telemetry import (
@@ -461,17 +461,17 @@ class TestTraceContents:
         assert f"calibration: {len(events)} front point" in text
         assert "0 drifted" in text
 
-    def test_campaign_trace_spans_all_jobs(self, tmp_path):
+    def test_campaign_trace_spans_all_jobs(self, tmp_path, capsys):
+        from repro.__main__ import main
+
         path = tmp_path / "campaign.jsonl"
-        with Tracer(path) as tracer:
-            run_campaign(
-                CampaignSpec(
-                    name="camp", workloads=("gcd", "crc16"),
-                    spaces=("small",), widths=(16,),
-                ),
-                cache=ResultCache(tmp_path / "cache"),
-                tracer=tracer,
-            )
+        assert main([
+            "campaign", "--name", "camp", "--workloads", "gcd,crc16",
+            "--spaces", "small", "--widths", "16",
+            "--cache-dir", str(tmp_path / "cache"), "-q",
+            "--trace", str(path),
+        ]) == 0
+        capsys.readouterr()
         summary = summarize_trace(load_trace(path))
         assert summary["study"] == "camp"
         assert {r["label"] for r in summary["runs"]} == {
