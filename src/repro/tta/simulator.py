@@ -16,10 +16,28 @@ The functional units execute their *behavioural* reference models — the
 gate level exists for area/test back-annotation, and the differential
 tests in ``tests/`` pin the two views together.
 
-``run()`` first decodes every instruction into flat per-move tuples
+The first ``run()`` decodes every instruction into flat per-move tuples
 (resolved registers, FU states, bound reference functions and the
-activity keys each move touches), then executes them in one loop that
-serves plain and activity-traced runs alike.
+activity keys each move touches) and splits the program into
+straight-line blocks at static leaders: literal jump targets, the
+instruction after each jump's delay slot and the instruction after a
+halt, with at most 16 instructions per block.  Execution has two
+tiers:
+
+* the *cold tier* (``_run_cold``) runs the decoded tuples one
+  instruction at a time, as the simulator always did;
+* a block that is ready (below) is generated as one Python function
+  (``repro.tta._blocks``) and ``exec``'d once for this simulator.  It
+  folds literals, masks and the reference expressions into the code,
+  keeps activity counts in local ints and adds them to the
+  ``ActivityTrace`` dicts in a ``finally``.
+
+The dicts' first-touch key order is part of the result (the energy fold
+sums floats in that order), so a block goes hot only once every key it
+counts in locals exists.  Until then, and for any block that does not
+fit the remaining ``max_cycles``, the cold tier runs it.  Both tiers
+produce identical results, state, activity and faults; the tests pin
+them against the frozen loop in ``tests/sim_reference.py``.
 """
 
 from __future__ import annotations
@@ -63,6 +81,16 @@ _SRC_RF, _SRC_FU, _SRC_LIT, _SRC_GUARD, _SRC_FAULT = range(5)
 # ``_DST_FU`` on is a trigger, committed after all plain moves.
 _DST_RF, _DST_OPERAND, _DST_GUARD, _DST_FAULT = range(4)
 _DST_FU, _DST_LSU, _DST_PC, _DST_TRIGGER_FAULT = range(4, 8)
+
+#: What a generated block returns for a halt (a PC is >= 0; a jump left
+#: pending for the next block is ``_EXIT_HALT - 1 - target``).
+_EXIT_HALT = -1
+
+# Slots of the tally list ``run()``, the cold tier and the generated
+# blocks share: SimResult counts, activity scalars, and the (cycle, PC,
+# pending jump) of a raise.
+(_EXECUTED, _SQUASHED, _TRIGGERS, _GUARD_TOGGLES, _FETCH_WORDS,
+ _FETCH_TOGGLES, _LAST_WORD, _FAULT_AT) = range(8)
 
 
 class SimulationError(Exception):
@@ -134,6 +162,15 @@ class TTASimulator:
         self.pc = 0
         self.cycle = 0
         self._pending_jump: tuple[int, int] | None = None
+
+        # Decoded once, by the first run(); generated blocks by entry PC.
+        self._code: list[tuple] | None = None
+        self._leaders = bytearray()
+        self._lengths: list[int] = []
+        self._hot: list = []
+        self._warming: dict[int, _blocks.BlockWriter] = {}
+        self._bound: tuple = ()
+        self._tally: list = [0] * 8
 
         # Switching-activity tracing is opt-in: when off, ``self.activity``
         # is None and the run loop skips every ``if traced`` block — it
@@ -314,7 +351,126 @@ class TTASimulator:
         Re-entrant: the cycle, PC and pending jump are written back, so a
         second call continues where the first stopped.
         """
-        code = self._decode()
+        # Blocks bind the state objects: replacing one regenerates them.
+        # (An id stays unique while the blocks still hold its object.)
+        if self._code is None or self._bound != (
+            id(self.dmem), id(self.guards), id(self.activity)
+        ):
+            self._prepare()
+        n_instructions = len(self._code)
+        hot = self._hot
+        lengths = self._lengths
+        tally = self._tally
+        act = self.activity
+        traced = act is not None
+        tally[:] = [0, 0, 0, 0, 0, 0, 0, None]
+        if traced:
+            tally[_GUARD_TOGGLES] = act.guard_toggles
+            tally[_FETCH_WORDS] = act.fetch_words
+            tally[_FETCH_TOGGLES] = act.fetch_toggles
+            tally[_LAST_WORD] = self._act_last_word
+
+        cycle = self.cycle
+        pc = self.pc
+        jump = self._pending_jump
+        halted = False
+        reason = "end-of-program"
+        try:
+            while cycle < max_cycles:
+                if not 0 <= pc < n_instructions:
+                    halted = True
+                    break
+                if jump is None:
+                    block = hot[pc]
+                    if block is None:
+                        block = self._warm(pc)
+                    if block is not None and cycle + lengths[pc] <= max_cycles:
+                        length = lengths[pc]
+                        exit_pc = block(cycle)
+                        cycle += length
+                        if exit_pc >= 0:
+                            pc = exit_pc
+                        elif exit_pc == _EXIT_HALT:
+                            pc += length - 1
+                            reason = "halt"
+                            halted = True
+                            break
+                        else:
+                            pc += length
+                            jump = (cycle, _EXIT_HALT - 1 - exit_pc)
+                        continue
+                cycle, pc, jump, halted = self._run_cold(
+                    tally, cycle, pc, jump, max_cycles
+                )
+                if halted:
+                    reason = "halt"
+                    break
+            else:
+                reason = "max-cycles"
+        finally:
+            if tally[_FAULT_AT] is not None:
+                cycle, pc, jump = tally[_FAULT_AT]
+            self.cycle = cycle
+            self.pc = pc
+            self._pending_jump = jump
+            if traced:
+                act.guard_toggles = tally[_GUARD_TOGGLES]
+                act.fetch_words = tally[_FETCH_WORDS]
+                act.fetch_toggles = tally[_FETCH_TOGGLES]
+                self._act_last_word = tally[_LAST_WORD]
+
+        if traced:
+            act.cycles = cycle
+        return SimResult(
+            cycles=cycle,
+            halted=halted,
+            reason=reason,
+            moves_executed=tally[_EXECUTED],
+            moves_squashed=tally[_SQUASHED],
+            triggers=tally[_TRIGGERS],
+        )
+
+    def _prepare(self) -> None:
+        """Decode once; (re)start block generation for the bound state."""
+        if self._code is None:
+            self._code = self._decode()
+            self._leaders, self._lengths = _blocks.block_layout(
+                self._code, self.activity is not None, self.arch.num_buses
+            )
+        self._hot = [None] * len(self._code)
+        self._warming = {}
+        self._bound = (id(self.dmem), id(self.guards), id(self.activity))
+
+    def _warm(self, pc: int):
+        """The generated block at ``pc``, once it is ready; else None.
+
+        A block is generated once every activity key it accumulates in
+        locals exists and every FU result it reads or lands is valid.
+        Both conditions only ever turn true, so a hot block stays hot.
+        """
+        writer = self._warming.get(pc)
+        if writer is None:
+            if not self._lengths[pc]:
+                return None
+            writer = _blocks.BlockWriter(self, pc, self._lengths[pc])
+            self._warming[pc] = writer
+        if not writer.ready():
+            return None
+        del self._warming[pc]
+        block = self._hot[pc] = writer.compile()
+        return block
+
+    def _run_cold(self, tally: list, cycle: int, pc: int, jump, max_cycles: int):
+        """The cold tier: the decoded-tuple loop, one instruction at a time.
+
+        Runs from ``pc`` until the next static leader or a taken jump,
+        and stops early at halt, at the end of the program or at
+        ``max_cycles``.  Returns ``(cycle, pc, jump, halted)`` and adds
+        its counts to ``tally``; a raise leaves the faulting position in
+        ``tally[_FAULT_AT]``.
+        """
+        code = self._code
+        leaders = self._leaders
         n_instructions = len(code)
         wmask = self._width_mask
         width = self.arch.width
@@ -336,27 +492,20 @@ class TTASimulator:
             rf_writes = act.rf_writes
             rf_read_toggles = act.rf_read_toggles
             rf_write_toggles = act.rf_write_toggles
-            guard_toggles = act.guard_toggles
-            fetch_words = act.fetch_words
-            fetch_toggles = act.fetch_toggles
             bus_last = self._act_bus
             port_last = self._act_port_last
             rf_last_read = self._act_rf_last_read
-            last_word = self._act_last_word
+            guard_toggles = tally[_GUARD_TOGGLES]
+            fetch_words = tally[_FETCH_WORDS]
+            fetch_toggles = tally[_FETCH_TOGGLES]
+            last_word = tally[_LAST_WORD]
 
-        cycle = self.cycle
-        pc = self.pc
-        jump = self._pending_jump
         executed = 0
         squashed = 0
         triggers = 0
         halted = False
-        reason = "end-of-program"
         try:
-            while cycle < max_cycles:
-                if not 0 <= pc < n_instructions:
-                    halted = True
-                    break
+            while cycle < max_cycles and 0 <= pc < n_instructions:
                 moves, halt, word, rfs = code[pc]
                 if traced:
                     fetch_words += 1
@@ -512,38 +661,31 @@ class TTASimulator:
                 executed += len(sampled)
 
                 if halt:
-                    reason = "halt"
                     halted = True
                     cycle += 1
                     break
                 if jump is not None and cycle >= jump[0]:
                     pc = jump[1]
                     jump = None
-                else:
-                    pc += 1
+                    cycle += 1
+                    break
+                pc += 1
                 cycle += 1
-            else:
-                reason = "max-cycles"
+                if jump is None and leaders[pc]:
+                    break
+        except BaseException:
+            tally[_FAULT_AT] = (cycle, pc, jump)
+            raise
         finally:
-            self.cycle = cycle
-            self.pc = pc
-            self._pending_jump = jump
+            tally[_EXECUTED] += executed
+            tally[_SQUASHED] += squashed
+            tally[_TRIGGERS] += triggers
             if traced:
-                act.guard_toggles = guard_toggles
-                act.fetch_words = fetch_words
-                act.fetch_toggles = fetch_toggles
-                self._act_last_word = last_word
-
-        if traced:
-            act.cycles = cycle
-        return SimResult(
-            cycles=cycle,
-            halted=halted,
-            reason=reason,
-            moves_executed=executed,
-            moves_squashed=squashed,
-            triggers=triggers,
-        )
+                tally[_GUARD_TOGGLES] = guard_toggles
+                tally[_FETCH_WORDS] = fetch_words
+                tally[_FETCH_TOGGLES] = fetch_toggles
+                tally[_LAST_WORD] = last_word
+        return cycle, pc, jump, halted
 
 
 def _trigger_fault(key, state, port, exc: Exception) -> tuple:
@@ -580,3 +722,9 @@ def _guard_index_or_raise(port: str) -> int:
     if port.startswith("g") and port[1:].isdigit():
         return int(port[1:])
     raise SimulationError(f"bad guard register name {port!r}")
+
+
+# The code generator uses the names above.  It is imported with the
+# simulator, not at the first simulation: compiling its source then
+# would add to the peak memory of a running study.
+from repro.tta import _blocks  # noqa: E402

@@ -1,6 +1,6 @@
 """Cycle-accurate simulator semantics (the hybrid pipelining of Fig. 3)."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,11 +11,12 @@ from repro.explore import build_architecture
 from repro.explore.space import small_space
 from repro.tta import TTASimulator, assemble
 from repro.tta.arch import ArchitectureError
-from repro.tta.encoding import MoveEncoder
+from repro.tta.encoding import EncodingError, MoveEncoder
 from repro.tta.isa import Guard, Instruction, Literal, Move, PortRef, Program
 from repro.tta.simulator import SimulationError
 
 from tests.conftest import make_arch
+from tests.sim_reference import ReferenceSimulator
 
 
 def run(src, arch=None, max_cycles=10_000, **kwargs):
@@ -292,6 +293,8 @@ def _placed(move, placement):
         instructions = [bad, halt]
     elif placement == "after-halt":
         instructions = [halt, bad]
+    elif placement == "warm":
+        instructions = _warm_loop(move)
     else:  # not-taken: g0 is 0, so the guarded jump to ``bad`` squashes
         branch = Instruction(slots=[
             Move(Literal(3), PortRef("pc", "target"), opcode="jump",
@@ -302,13 +305,52 @@ def _placed(move, placement):
     return Program(instructions=instructions)
 
 
-@pytest.mark.parametrize("placement", ["reached", "after-halt", "not-taken"])
+def _warm_loop(move):
+    """A 20-iteration, three-bus loop holding ``move`` guarded by g1.
+
+    The compare sets g1 only on the last iteration, long after the loop
+    body has become a generated block.  The bad move sits in the delay
+    slot of the exit jump, so it raises from generated code with that
+    jump pending.
+    """
+    rf_r, rf_w, pc = PortRef("rf0", "r0"), PortRef("rf0", "w0"), PortRef("pc", "target")
+    alu_y, cmp_y = PortRef("alu0", "y"), PortRef("cmp0", "y")
+    return [
+        Instruction(slots=[Move(Literal(20), rf_w, dst_reg=1), None, None]),
+        Instruction(slots=[  # loop: r1 - 1
+            Move(rf_r, PortRef("alu0", "a"), src_reg=1),
+            Move(Literal(1), PortRef("alu0", "b"), opcode="sub"),
+            None,
+        ]),
+        Instruction(slots=[
+            Move(alu_y, rf_w, dst_reg=1), Move(alu_y, PortRef("cmp0", "a")), None,
+        ]),
+        Instruction(slots=[
+            Move(Literal(0), PortRef("cmp0", "b"), opcode="eq"), None, None,
+        ]),
+        Instruction(slots=[Move(cmp_y, PortRef("guard", "g1")), None, None]),
+        Instruction(slots=[
+            None,
+            Move(Literal(1), pc, opcode="jump", guard=Guard(1, invert=True)),
+            Move(Literal(7), pc, opcode="jump", guard=Guard(1)),
+        ]),
+        Instruction(slots=[replace(move, guard=Guard(1)), None, None]),
+        Instruction(slots=[None, None, None], halt=True),
+    ]
+
+
+@pytest.mark.parametrize(
+    "placement", ["reached", "after-halt", "not-taken", "warm"]
+)
 @pytest.mark.parametrize(
     "move,error,message",
     [case[1:] for case in _BAD_MOVES],
     ids=[case[0] for case in _BAD_MOVES],
 )
 def test_bad_move_raises_only_when_executed(move, error, message, placement):
+    if placement == "warm":
+        _raise_from_generated_block(_placed(move, placement), error, message)
+        return
     sim = TTASimulator(make_arch(2), _placed(move, placement))
     if placement == "reached":
         with pytest.raises(Exception) as info:
@@ -318,6 +360,58 @@ def test_bad_move_raises_only_when_executed(move, error, message, placement):
     else:
         result = sim.run()
         assert result.halted and result.reason == "halt"
+
+
+def _raise_from_generated_block(program, error, message):
+    """Raise from a hot block exactly where the reference loop raises.
+
+    Traced too when the encoder accepts the bad move (activity tracing
+    needs the encoded instruction words).
+    """
+    arch = make_arch(3)
+    try:
+        MoveEncoder(arch).encode_program(program)
+        modes = (False, True)
+    except EncodingError:
+        modes = (False,)
+    for traced in modes:
+        sim = TTASimulator(arch, program, activity=traced)
+        reference = ReferenceSimulator(arch, program, activity=traced)
+        for simulator in (sim, reference):
+            with pytest.raises(Exception) as info:
+                simulator.run()
+            assert type(info.value) is error
+            assert str(info.value) == message
+        assert sim._hot[1] is not None  # the loop body ran generated
+        assert (sim.cycle, sim.pc, sim._pending_jump) == (
+            reference.cycle, reference.pc, reference._pending_jump
+        )
+        assert sim._pending_jump == (sim.cycle, 7)
+        for state in (sim, reference):
+            assert state.pc == 6 and state.rf_value("rf0", 1) == 0
+        assert sim.dmem == reference.dmem and sim.guards == reference.guards
+        assert _units(sim) == _units(reference)
+        if traced:
+            assert _activity(sim) == _activity(reference)
+            assert (sim._act_bus, sim._act_port_last, sim._act_rf_last_read) == (
+                reference._act_bus, reference._act_port_last,
+                reference._act_rf_last_read,
+            )
+
+
+def _units(sim):
+    """Operand and result registers and pipeline of every FU and LSU."""
+    return [(sorted(state.operands.items()), state.result, state.result_valid,
+             state.pipeline)
+            for state in sim._fu.values()]
+
+
+def _activity(sim):
+    """Every ``ActivityTrace`` field, dicts as ordered item lists."""
+    return [
+        list(value.items()) if isinstance(value, dict) else value
+        for value in (getattr(sim.activity, f.name) for f in fields(sim.activity))
+    ]
 
 
 def _final_state(sim, results):
